@@ -338,11 +338,6 @@ def match_window_samples(fs: float) -> int:
     return round(MATCH_WINDOW_S * fs)
 
 
-def uniform_train_fhr(spacing_samples: int, fs: float) -> float:
-    """Closed-form FHR of an exactly periodic peak train (test helper)."""
-    return 60.0 * fs / spacing_samples
-
-
 def baseline_single_mean_peaks(maxima: PeakSet) -> PeakSet:
     """Single-mean comparison detector: every maximum above m1 is a peak.
 

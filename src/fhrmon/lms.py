@@ -7,23 +7,23 @@ first), weights ``w``, step size ``mu`` and ``beta = 2*mu``:
     e = scale_d(d) - y
     w[k] += beta * e * scale(x[k])        (k ascending)
 
-Three interchangeable implementations produce bit-identical results:
+:func:`lms_step` is the only implementation of that step: 5m + 3 backend
+operations (2m adds, one subtract, 3m + 2 multiplies) in one fixed order.
+The two datapath models run it unchanged and differ only in the
+:class:`Schedule` their :class:`CycleStats` are accounted from:
 
-* :func:`lms_step` — the plain recurrence on an :class:`LmsState`.
 * :class:`SeriesDatapath` — one multiply-accumulate lane reused across
   ``2m + 1`` cycles per sample (few arithmetic units, long latency).
 * :class:`ParallelDatapath` — every operation of a sample issued in a
   single cycle (one-cycle latency, many concurrent units).
-
-Both datapaths deliberately accumulate the dot product in the same fixed
-left-to-right order, so cross-architecture equality is exact and testable.
-Cycle and operation accounting rides along in :class:`CycleStats`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -32,9 +32,10 @@ from .numeric import quantized
 DEFAULT_ORDER = 19
 DEFAULT_STEP_SIZE = 7e-5
 
-# Arithmetic-unit budgets: the serial schedule never issues more than
-# SERIES_FPU_INSTANCES operations in one cycle; the parallel datapath needs
-# one unit per operation of the whole sample step (5m + 3).
+# Published arithmetic-unit budget of the serial datapath.  Its schedule
+# peaks at 5 ops in one cycle (``CycleStats.max_ops_per_cycle``), within this
+# budget; the parallel datapath needs one unit per operation of the whole
+# sample step (5m + 3).
 SERIES_FPU_INSTANCES = 9
 
 
@@ -62,6 +63,38 @@ class LmsConfig:
         return 2.0 * self.step_size
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """Issue profile of one sample step, with its totals worked out once."""
+
+    cycles: int
+    ops: int
+    peak: int  # most ops issued in one cycle
+
+    @classmethod
+    def from_ops_per_cycle(cls, ops_per_cycle) -> Schedule:
+        return cls(len(ops_per_cycle), sum(ops_per_cycle), max(ops_per_cycle))
+
+    @classmethod
+    def series(cls, order: int) -> Schedule:
+        """Cycle walk of the serial datapath for one sample (m = order):
+
+        * cycles 1..m — scale one window tap, multiply by its weight, add into
+          the running output (3 ops/cycle).
+        * cycle m+1 — scale the desired sample, form the error, compute the
+          update gain ``beta*e`` and the first new weight (5 ops).
+        * cycles m+2..2m — one multiply-add per remaining weight (2 ops/cycle).
+        * cycle 2m+1 — store the last weight; the new input enters the window
+          (no arithmetic).
+        """
+        return cls.from_ops_per_cycle([3] * order + [5] + [2] * (order - 1) + [0])
+
+    @classmethod
+    def parallel(cls, order: int) -> Schedule:
+        """Every operation of the sample step in a single cycle."""
+        return cls.from_ops_per_cycle([parallel_fpu_instances(order)])
+
+
 @dataclass
 class CycleStats:
     cycles_per_sample: int
@@ -72,12 +105,16 @@ class CycleStats:
     max_ops_per_cycle: int = 0
 
     def account(self, ops_per_cycle: list[int]) -> None:
-        self.total_cycles += len(ops_per_cycle)
-        self.fpu_ops_issued += sum(ops_per_cycle)
+        """Add one sample step issuing ``ops_per_cycle[i]`` ops in cycle i."""
+        self.tally(Schedule.from_ops_per_cycle(ops_per_cycle))
+
+    def tally(self, schedule: Schedule) -> None:
+        """Add one sample step run on ``schedule``."""
+        self.total_cycles += schedule.cycles
+        self.fpu_ops_issued += schedule.ops
         self.samples_processed += 1
-        peak = max(ops_per_cycle)
-        if peak > self.max_ops_per_cycle:
-            self.max_ops_per_cycle = peak
+        if schedule.peak > self.max_ops_per_cycle:
+            self.max_ops_per_cycle = schedule.peak
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +128,7 @@ class CycleStats:
 
 
 class LmsState:
-    """Tap window, weight vector and desired-sample register."""
+    """Tap window and weight vector, plus the encoded constants."""
 
     def __init__(self, cfg: LmsConfig, backend):
         self.cfg = cfg
@@ -105,8 +142,6 @@ class LmsState:
         z = self.backend.zero
         self.window = [z] * self.cfg.order
         self.weights = [z] * self.cfg.order
-        self.desired = z
-        self.staged = z  # incoming sample's slot during the serial shift
 
 
 def scale(backend, sample, factor):
@@ -115,117 +150,52 @@ def scale(backend, sample, factor):
 
 
 def lms_step(state: LmsState, x_new, d_new):
-    """Plain one-sample update; returns ``(e, y)`` in backend encoding."""
+    """One-sample update; returns ``(e, y)`` in backend encoding.
+
+    Every tap is scaled afresh each sample (m multiplies) rather than once on
+    entry, so the step issues exactly the 5m + 3 ops both schedules account
+    for.  The backend's methods are looked up on every call, so wrappers
+    installed on the backend instance see each op.
+    """
     bk = state.backend
-    mul, add, sub = bk.mul, bk.add, bk.sub
-
-    state.window = [x_new] + state.window[:-1]
-    state.desired = d_new
-
-    sx = [mul(x, state.input_scale) for x in state.window]
-    y = bk.zero
-    for k in range(state.cfg.order):
-        y = add(y, mul(sx[k], state.weights[k]))
-    e = sub(mul(d_new, state.desired_scale), y)
+    mul, add = bk.mul, bk.add
+    window = state.window = [x_new] + state.window[:-1]
+    sx = list(map(mul, window, repeat(state.input_scale)))
+    y = reduce(add, map(mul, sx, state.weights), bk.zero)
+    e = bk.sub(mul(d_new, state.desired_scale), y)
     be = mul(state.beta, e)
-    for k in range(state.cfg.order):
-        state.weights[k] = add(state.weights[k], mul(be, sx[k]))
+    state.weights = list(map(add, state.weights, map(mul, repeat(be), sx)))
     return e, y
 
 
-class SeriesDatapath:
-    """Serial schedule: 2m + 1 cycles per sample, one MAC lane.
+class _Datapath:
+    """A hardware schedule around the shared :func:`lms_step`."""
 
-    Cycle walk for one sample (m = order):
-
-    * cycles 1..m — scale one window tap, multiply by its weight, add into
-      the running output; the tap is copied forward one slot (3 ops/cycle).
-    * cycle m+1 — scale the desired sample, form the error, compute the
-      update gain ``beta*e`` and the first new weight (5 ops).
-    * cycles m+2..2m — one multiply-add per remaining weight (2 ops/cycle).
-    * cycle 2m+1 — store the last weight; the staged input enters the window
-      (no arithmetic).
-    """
-
-    def __init__(self, cfg: LmsConfig, backend):
+    def __init__(self, cfg: LmsConfig, backend, schedule: Schedule, fpu_instances: int):
         self.state = LmsState(cfg, backend)
-        self.stats = CycleStats(
-            cycles_per_sample=2 * cfg.order + 1,
-            fpu_instances=SERIES_FPU_INSTANCES,
-        )
+        self.schedule = schedule
+        self.stats = CycleStats(cycles_per_sample=schedule.cycles, fpu_instances=fpu_instances)
 
     def step(self, x_new, d_new):
-        st = self.state
-        bk = st.backend
-        mul, add, sub = bk.mul, bk.add, bk.sub
-        m = st.cfg.order
-        ops: list[int] = []
-
-        st.staged = x_new
-        window = [x_new] + st.window[:-1]
-
-        y = bk.zero
-        sx = []
-        for k in range(m):  # MAC cycles, window shifting underneath
-            xk = mul(window[k], st.input_scale)
-            sx.append(xk)
-            y = add(y, mul(xk, st.weights[k]))
-            ops.append(3)
-
-        d_s = mul(d_new, st.desired_scale)  # error + first-update cycle
-        e = sub(d_s, y)
-        be = mul(st.beta, e)
-        new_w = [add(st.weights[0], mul(be, sx[0]))]
-        ops.append(5)
-
-        for k in range(1, m):  # remaining weight updates
-            new_w.append(add(st.weights[k], mul(be, sx[k])))
-            ops.append(2)
-
-        ops.append(0)  # final store/load cycle
-        st.window = window
-        st.weights = new_w
-        st.desired = d_new
-        self.stats.account(ops)
+        e, _ = lms_step(self.state, x_new, d_new)
+        self.stats.tally(self.schedule)
         return e, self.stats
 
 
-class ParallelDatapath:
+class SeriesDatapath(_Datapath):
+    """Serial schedule: 2m + 1 cycles per sample, one MAC lane."""
+
+    def __init__(self, cfg: LmsConfig, backend):
+        super().__init__(cfg, backend, Schedule.series(cfg.order), SERIES_FPU_INSTANCES)
+
+
+class ParallelDatapath(_Datapath):
     """Fully unrolled schedule: every operation of a sample in one cycle."""
 
     def __init__(self, cfg: LmsConfig, backend):
-        self.state = LmsState(cfg, backend)
-        self.stats = CycleStats(
-            cycles_per_sample=1,
-            fpu_instances=parallel_fpu_instances(cfg.order),
+        super().__init__(
+            cfg, backend, Schedule.parallel(cfg.order), parallel_fpu_instances(cfg.order)
         )
-
-    def step(self, x_new, d_new):
-        st = self.state
-        bk = st.backend
-        mul, add, sub = bk.mul, bk.add, bk.sub
-        m = st.cfg.order
-        issued = 0
-
-        st.window = [x_new] + st.window[:-1]
-        st.desired = d_new
-
-        sx = [mul(x, st.input_scale) for x in st.window]
-        issued += m
-        y = bk.zero
-        for k in range(m):
-            y = add(y, mul(sx[k], st.weights[k]))
-        issued += 2 * m
-        e = sub(mul(d_new, st.desired_scale), y)
-        issued += 2
-        be = mul(st.beta, e)
-        issued += 1
-        for k in range(m):
-            st.weights[k] = add(st.weights[k], mul(be, sx[k]))
-        issued += 2 * m
-
-        self.stats.account([issued])
-        return e, self.stats
 
 
 def make_datapath(arch: str, cfg: LmsConfig, backend):
@@ -251,26 +221,23 @@ def choose_scale_factor(samples: np.ndarray, target: float = 16.0) -> float:
     return 2.0 ** round(math.log2(target / p99))
 
 
-def run_canceller(
-    datapath,
-    x_samples,
-    d_samples,
-    flag_watch: bool = True,
-):
+def run_canceller(datapath, x_samples, d_samples):
     """Drive a datapath over full channels; returns (e_words, first_flag_index).
 
-    ``x_samples``/``d_samples`` are backend-encoded sequences.  When
-    ``flag_watch`` is set, the index of the first sample that raised a
-    saturation/flush flag is reported (or None).
+    ``x_samples``/``d_samples`` are backend-encoded sequences.
+    ``first_flag_index`` is the first sample whose step raised a
+    saturation/flush flag, or None.  The backend's flag totals at entry are
+    the reference, so flags raised by earlier stages sharing the backend are
+    not blamed on the canceller.
     """
-    backend = datapath.state.backend
-    flags = backend.flags
+    flags = datapath.state.backend.flags
+    entry_total = flags.overflow + flags.underflow
     first_flag = None
     errors = []
     step = datapath.step
     for i, (x, d) in enumerate(zip(x_samples, d_samples)):
         e, _ = step(x, d)
         errors.append(e)
-        if flag_watch and first_flag is None and flags.any():
+        if first_flag is None and flags.overflow + flags.underflow > entry_total:
             first_flag = i
     return errors, first_flag

@@ -8,16 +8,92 @@ path exists so tests can bound the truncation drift of the first.
 
 Values are opaque to the algorithms: integer words on the soft path, plain
 floats on the reference path.  ``encode``/``decode`` convert at the edges.
+
+The soft backend's add/sub/mul first try a word-in/word-out fast path that
+covers normal operands with a normal result, the bulk of every pipeline
+stage.  Any other case (a zero operand, an exponent leaving [1, 254], an
+operand that is not a normal 32-bit word) goes to the unchanged ``fpu_*``
+function, so saturation/flush flags and ``OperandError`` messages come from
+:mod:`fhrmon.fpu` itself, which stays the bit-level oracle for both paths.
 """
 
 from __future__ import annotations
 
 from . import fpu
-from .fpu import CmpCode, FpuFlags
+from .fpu import EXP_MASK, FRAC_MASK, IMPLICIT_BIT, SIGN_MASK, CmpCode, FpuFlags
+
+# Sign-and-exponent field (word >> 23) of every normal word -> exponent - 1.
+# A missing key is a zero, subnormal, inf/NaN or an int outside 32 bits.
+_EXP_LESS_ONE = {h: (h & 0xFF) - 1 for h in range(512) if 0 < h & 0xFF < 255}
+
+
+def _add_word(a: int, b: int) -> int | None:
+    """``fpu_add(a, b)`` for normal operands with a normal result, else None.
+
+    Signed mantissas are aligned at the smaller exponent (exact, like
+    ``fpu_add``), summed, and the sum truncated to 24 bits once.
+    """
+    try:
+        ea = _EXP_LESS_ONE[a >> 23]
+        eb = _EXP_LESS_ONE[b >> 23]
+    except KeyError:
+        return None
+    ma = a & FRAC_MASK | IMPLICIT_BIT
+    if a & SIGN_MASK:
+        ma = -ma
+    mb = b & FRAC_MASK | IMPLICIT_BIT
+    if b & SIGN_MASK:
+        mb = -mb
+    if ea >= eb:
+        s = (ma << ea - eb) + mb
+        base = eb
+    else:
+        s = ma + (mb << eb - ea)
+        base = ea
+    if s > 0:
+        sign = 0
+    elif s:
+        sign = SIGN_MASK
+        s = -s
+    else:
+        return 0  # exact cancellation gives +0
+    shift = s.bit_length() - 24
+    # (exponent - 1) << 23 plus the 24-bit mantissa, whose top bit carries
+    # into the exponent field, packs the sign-less word; it is a normal
+    # number iff it lies in [IMPLICIT_BIT, EXP_MASK).
+    word = (base + shift << 23) + (s >> shift if shift >= 0 else s << -shift)
+    if IMPLICIT_BIT <= word < EXP_MASK:
+        return sign | word
+    return None
+
+
+def _mul_word(a: int, b: int) -> int | None:
+    """``fpu_mul(a, b)`` for normal operands with a normal result, else None.
+
+    The 24x24-bit mantissa product has 47 or 48 bits; its top 24 are kept.
+    """
+    try:
+        e = _EXP_LESS_ONE[a >> 23] + _EXP_LESS_ONE[b >> 23]
+    except KeyError:
+        return None
+    p = (a & FRAC_MASK | IMPLICIT_BIT) * (b & FRAC_MASK | IMPLICIT_BIT)
+    # e = ea + eb - 2; the result's exponent less one, ea + eb - 128, is one
+    # higher when the product reaches bit 47.  Packed as in _add_word.
+    if p >> 47:
+        word = (e - 125 << 23) + (p >> 24)
+    else:
+        word = (e - 126 << 23) + (p >> 23)
+    if IMPLICIT_BIT <= word < EXP_MASK:
+        return (a ^ b) & SIGN_MASK | word
+    return None
 
 
 class SoftF32Backend:
-    """Bit-level float32 arithmetic with an owned flag accumulator."""
+    """Bit-level float32 arithmetic with an owned flag accumulator.
+
+    ``add``/``sub``/``mul`` return exactly what ``fpu_add``/``fpu_sub``/
+    ``fpu_mul`` return for the same words, raise the same flags and errors.
+    """
 
     name = "soft"
 
@@ -33,13 +109,18 @@ class SoftF32Backend:
         return fpu.decode(word)
 
     def add(self, a: int, b: int) -> int:
-        return fpu.fpu_add(a, b, self.flags)
+        word = _add_word(a, b)
+        return fpu.fpu_add(a, b, self.flags) if word is None else word
 
     def sub(self, a: int, b: int) -> int:
-        return fpu.fpu_sub(a, b, self.flags)
+        # a - b is a + (-b) bit for bit; the fallback keeps fpu_sub's flags
+        # and its OperandError naming the word the caller passed.
+        word = _add_word(a, b ^ SIGN_MASK)
+        return fpu.fpu_sub(a, b, self.flags) if word is None else word
 
     def mul(self, a: int, b: int) -> int:
-        return fpu.fpu_mul(a, b, self.flags)
+        word = _mul_word(a, b)
+        return fpu.fpu_mul(a, b, self.flags) if word is None else word
 
     def gt(self, a: int, b: int) -> bool:
         return fpu.fpu_cmp(a, b, self.cmp_mode) is CmpCode.GREATER

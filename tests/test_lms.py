@@ -202,6 +202,27 @@ class TestConvergence:
         assert first_flag is not None
         assert bk.flags.any()
 
+    def test_flags_raised_before_the_canceller_are_not_blamed_on_it(self):
+        # the pipeline shares one backend between preprocessing and the
+        # canceller; flags already counted at entry must not read as sample 0
+        rng = np.random.default_rng(17)
+        bk = make_backend("soft")
+        bk.flags.overflow, bk.flags.underflow = 3, 2
+        dp = ParallelDatapath(LmsConfig(order=19), bk)
+        xw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, 2000)]
+        dw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, 2000)]
+        _, first_flag = lms.run_canceller(dp, xw, dw)
+        assert first_flag is None
+
+        # a canceller that does saturate is still located at the same sample
+        rng = np.random.default_rng(2)
+        xw = [bk.encode(float(v)) for v in rng.uniform(-2, 2, 500)]
+        dw = [bk.encode(float(v)) for v in rng.uniform(-2, 2, 500)]
+        clean = make_backend("soft")
+        _, want = lms.run_canceller(ParallelDatapath(LmsConfig(order=4, step_size=10.0), clean), xw, dw)
+        _, got = lms.run_canceller(ParallelDatapath(LmsConfig(order=4, step_size=10.0), bk), xw, dw)
+        assert want is not None and got == want
+
     def test_soft_reference_error_drift_bounded(self):
         # identical inputs, soft vs double arithmetic: small relative RMS gap
         rng = np.random.default_rng(3)
