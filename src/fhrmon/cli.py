@@ -18,12 +18,19 @@ names); explicit flags override the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import fpu
-from .io import SynthSpec, generate_synthetic, write_annotations, write_recording
+from .io import (
+    RecordingError,
+    SynthSpec,
+    generate_synthetic,
+    write_annotations,
+    write_recording,
+)
 from .pipeline import (
     ConfigError,
     PipelineError,
@@ -73,23 +80,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
         data.update(_read_json(args.config))
-    overrides = {
-        "input_path": args.input_path,
-        "input_format": args.input_format,
-        "thoracic": args.thoracic,
-        "abdominal": args.abdominal,
-        "fs": args.fs,
-        "order": args.order,
-        "mu": args.mu,
-        "arch": args.arch,
-        "cmp_mode": args.cmp_mode,
-        "backend": args.backend,
-        "clock_hz": args.clock_hz,
-        "annotations_path": args.annotations_path,
-        "out_dir": args.out_dir,
-        "convergence_index": args.convergence_index,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    data.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     if args.trace is not None:
         data["trace"] = [s.strip() for s in args.trace.split(",") if s.strip()]
     if args.synth_path:
@@ -97,7 +89,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         data.pop("input_path", None)
     try:
         return RunConfig.from_dict(data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # unknown field, out-of-range SynthSpec
         raise ConfigError(str(exc)) from None
 
 
@@ -227,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, fpu.OperandError) as exc:
+    except (ConfigError, RecordingError, OSError, fpu.OperandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PipelineError as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .numeric import quantized
+from .numeric import RunningMean, quantized
 
 ENHANCE_WINDOW = 40  # mean-filter length P over squared differences
 MIN_PEAK_GAP_S = 0.2  # accepted peaks must be further apart than this
@@ -111,47 +111,27 @@ class PeakEnhancer:
     """Differentiate-square-mean peak enhancement with running ``m1``.
 
     ``n_total`` (the stream length) must be known up front because every
-    ``sdm`` sample contributes ``sdm / n_total`` to the global mean.
+    ``sdm`` sample contributes ``sdm / n_total`` to the global mean ``m1``,
+    which equals the mean of ``sdm`` once all ``n_total`` samples are in.
     """
 
     def __init__(self, backend, n_total: int, window: int = ENHANCE_WINDOW):
         if n_total < 1:
             raise ValueError("stream length must be positive")
-        if window < 1:
-            raise ValueError("mean-filter window must be positive")
         self.backend = backend
-        self.window = window
-        self.n_total = n_total
-        self._inv_p = backend.encode(quantized(1.0 / window))
+        self._mean = RunningMean(backend, window)
         self._inv_n = backend.encode(quantized(1.0 / n_total))
-        z = backend.zero
-        self._prev = z
-        self._curr = z
-        self._ring = [z] * window
-        self._pos = 0
-        self.sdm = z
-        self._m1_acc = z
-        self.samples_seen = 0
+        self._prev = backend.zero
+        self.m1 = backend.zero
 
     def step(self, sample):
         """Consume one sample, return the current enhanced value ``sdm``."""
         bk = self.backend
-        self._prev = self._curr
-        self._curr = sample
-        diff = bk.sub(self._curr, self._prev)
-        sdiff = bk.mul(diff, diff)
-        scaled = bk.mul(sdiff, self._inv_p)
-        self.sdm = bk.sub(bk.add(self.sdm, scaled), self._ring[self._pos])
-        self._ring[self._pos] = scaled
-        self._pos = (self._pos + 1) % self.window
-        self._m1_acc = bk.add(self._m1_acc, bk.mul(self.sdm, self._inv_n))
-        self.samples_seen += 1
-        return self.sdm
-
-    @property
-    def m1(self):
-        """Mean of ``sdm`` over the samples consumed so far."""
-        return self._m1_acc
+        diff = bk.sub(sample, self._prev)
+        self._prev = sample
+        sdm = self._mean.step(bk.mul(diff, diff))
+        self.m1 = bk.add(self.m1, bk.mul(sdm, self._inv_n))
+        return sdm
 
 
 def enhance(backend, samples) -> tuple[list, object]:

@@ -195,42 +195,14 @@ def fpu_add(a: int, b: int, flags: FpuFlags | None = None) -> int:
 
 
 def fpu_sub(a: int, b: int, flags: FpuFlags | None = None) -> int:
-    """Subtract ``b`` from ``a``.
+    """Subtract ``b`` from ``a``: :func:`fpu_add` of ``a`` and ``b`` negated.
 
-    Same alignment and truncation rules as :func:`fpu_add`; with equal sign
-    bits the magnitudes are compared and subtracted, with opposite sign bits
-    they are added.
+    The operands are checked first so an :class:`OperandError` names the
+    word the caller passed, not its negation.
     """
     _check_operand(a)
     _check_operand(b)
-    if b & ~SIGN_MASK == 0:
-        if a & ~SIGN_MASK == 0:
-            return ZERO_POS if a == b else a
-        return a
-    if a & ~SIGN_MASK == 0:
-        return b ^ SIGN_MASK
-
-    sa = a >> 31
-    ea = (a >> 23) & 0xFF
-    ma = (a & FRAC_MASK) | IMPLICIT_BIT
-    sb = b >> 31
-    eb = (b >> 23) & 0xFF
-    mb = (b & FRAC_MASK) | IMPLICIT_BIT
-
-    if ea >= eb:
-        base = eb
-        ma <<= ea - eb
-    else:
-        base = ea
-        mb <<= eb - ea
-
-    if sa != sb:
-        return _pack(sa, ma + mb, base, flags)
-    if ma > mb:
-        return _pack(sa, ma - mb, base, flags)
-    if mb > ma:
-        return _pack(sa ^ 1, mb - ma, base, flags)
-    return ZERO_POS
+    return fpu_add(a, b ^ SIGN_MASK, flags)
 
 
 def fpu_mul(a: int, b: int, flags: FpuFlags | None = None) -> int:

@@ -104,10 +104,6 @@ class CycleStats:
     samples_processed: int = 0
     max_ops_per_cycle: int = 0
 
-    def account(self, ops_per_cycle: list[int]) -> None:
-        """Add one sample step issuing ``ops_per_cycle[i]`` ops in cycle i."""
-        self.tally(Schedule.from_ops_per_cycle(ops_per_cycle))
-
     def tally(self, schedule: Schedule) -> None:
         """Add one sample step run on ``schedule``."""
         self.total_cycles += schedule.cycles
@@ -136,12 +132,8 @@ class LmsState:
         self.input_scale = backend.encode(quantized(cfg.input_scale))
         self.desired_scale = backend.encode(quantized(cfg.desired_scale))
         self.beta = backend.encode(quantized(cfg.beta))
-        self.reset()
-
-    def reset(self) -> None:
-        z = self.backend.zero
-        self.window = [z] * self.cfg.order
-        self.weights = [z] * self.cfg.order
+        self.window = [backend.zero] * cfg.order
+        self.weights = [backend.zero] * cfg.order
 
 
 def scale(backend, sample, factor):

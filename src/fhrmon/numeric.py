@@ -19,6 +19,8 @@ function, so saturation/flush flags and ``OperandError`` messages come from
 
 from __future__ import annotations
 
+from collections import deque
+
 from . import fpu
 from .fpu import EXP_MASK, FRAC_MASK, IMPLICIT_BIT, SIGN_MASK, CmpCode, FpuFlags
 
@@ -181,3 +183,28 @@ def quantized(value: float) -> float:
     coefficients and differ only in arithmetic.
     """
     return fpu.decode(fpu.encode(value))
+
+
+class RunningMean:
+    """Mean of the last ``window`` samples, updated one sample per step.
+
+    Each sample is pre-scaled by 1/window and kept in a zero-filled ring; the
+    mean is a running total that adds the new scaled sample and subtracts the
+    one it evicts (a zero until the ring has filled).
+    """
+
+    def __init__(self, backend, window: int):
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.backend = backend
+        self._inv = backend.encode(quantized(1.0 / window))
+        self.ring = deque([backend.zero] * window, maxlen=window)
+        self.mean = backend.zero
+
+    def step(self, sample):
+        """Consume one sample and return the updated mean."""
+        bk = self.backend
+        scaled = bk.mul(sample, self._inv)
+        self.mean = bk.sub(bk.add(self.mean, scaled), self.ring[0])
+        self.ring.append(scaled)  # full ring: drops ring[0]
+        return self.mean

@@ -84,6 +84,8 @@ class RunConfig:
             raise ConfigError("order must be >= 1 and mu positive")
         if self.clock_hz <= 0:
             raise ConfigError("clock_hz must be positive")
+        if self.convergence_index is not None and self.convergence_index < 0:
+            raise ConfigError(f"convergence_index must be >= 0, got {self.convergence_index}")
         bad = [s for s in self.trace if s not in ("preprocess", "lms", "fhr")]
         if bad:
             raise ConfigError(f"unknown trace stages: {bad}")
@@ -194,6 +196,8 @@ def execute(cfg: RunConfig, arch: str, recording: Recording | None = None) -> Ru
     backend = make_backend(cfg.backend, cfg.cmp_mode)
     art = RunArtifacts(rec, backend, arch)
     art.convergence_index = effective_convergence_index(cfg.convergence_index, rec.n_samples)
+    if art.convergence_index >= rec.n_samples:
+        raise PipelineError("no samples after the convergence marker")
 
     chain_t = PreprocessChain(backend)
     chain_a = PreprocessChain(backend)
@@ -225,10 +229,7 @@ def execute(cfg: RunConfig, arch: str, recording: Recording | None = None) -> Ru
             f"arithmetic saturation/flush first raised at sample {art.first_flag_index}"
         )
 
-    segment = art.errors[art.convergence_index :]
-    if not segment:
-        raise PipelineError("no samples after the convergence marker")
-    art.detection = fhr.detect_peaks(backend, segment, rec.fs)
+    art.detection = fhr.detect_peaks(backend, art.errors[art.convergence_index :], rec.fs)
     art.detection["peaks_absolute"] = art.detection["peaks"].shifted(art.convergence_index)
     art.detection["maxima_absolute"] = art.detection["maxima"].shifted(art.convergence_index)
     if art.detection["degenerate"]:

@@ -21,7 +21,7 @@ backends share the exact same constants.
 
 from __future__ import annotations
 
-from .numeric import quantized
+from .numeric import RunningMean, quantized
 
 # Low-pass recursion constants (output-feedback form, fs = 1 kHz design).
 LOWPASS_INPUT_COEFFS = (0.00308,)
@@ -89,45 +89,21 @@ def make_notch(backend) -> IirFilter:
 class MovingAverageBaseline:
     """Two chained running means; subtracts the second mean from the input.
 
-    Memory 1 holds the last ``n1`` input samples pre-scaled by 1/n1 and the
-    running sum ``m1`` tracks their total (the first-stage mean).  Memory 2
-    does the same over the first-stage means with window ``n2``.  Rings start
-    zero-filled, so evictions before the window fills subtract zeros.
+    The first mean runs over the last ``n1`` input samples, the second over
+    the last ``n2`` first-stage means; both start from zero-filled rings.
     """
 
     def __init__(self, backend, n1: int = BASELINE_WINDOW, n2: int = BASELINE_WINDOW):
-        if n1 < 1 or n2 < 1:
-            raise ValueError("window sizes must be positive")
         self.backend = backend
         self.n1 = n1
         self.n2 = n2
-        self._inv_n1 = backend.encode(quantized(1.0 / n1))
-        self._inv_n2 = backend.encode(quantized(1.0 / n2))
-        self.reset()
-
-    def reset(self) -> None:
-        z = self.backend.zero
-        self._ring1 = [z] * self.n1
-        self._ring2 = [z] * self.n2
-        self._pos1 = 0
-        self._pos2 = 0
-        self.m1 = z
-        self.m2 = z
+        self.mean1 = RunningMean(backend, n1)
+        self.mean2 = RunningMean(backend, n2)
 
     def step(self, sample):
         """Return ``(baseline, corrected)`` for one input sample."""
-        bk = self.backend
-        scaled = bk.mul(sample, self._inv_n1)
-        self.m1 = bk.sub(bk.add(self.m1, scaled), self._ring1[self._pos1])
-        self._ring1[self._pos1] = scaled
-        self._pos1 = (self._pos1 + 1) % self.n1
-
-        scaled2 = bk.mul(self.m1, self._inv_n2)
-        self.m2 = bk.sub(bk.add(self.m2, scaled2), self._ring2[self._pos2])
-        self._ring2[self._pos2] = scaled2
-        self._pos2 = (self._pos2 + 1) % self.n2
-
-        return self.m2, bk.sub(sample, self.m2)
+        baseline = self.mean2.step(self.mean1.step(sample))
+        return baseline, self.backend.sub(sample, baseline)
 
 
 class PreprocessChain:
@@ -143,11 +119,6 @@ class PreprocessChain:
     def warmup_samples(self) -> int:
         """Leading samples to exclude from downstream statistics."""
         return self.baseline.n1 + self.baseline.n2
-
-    def reset(self) -> None:
-        self.lowpass.reset()
-        self.notch.reset()
-        self.baseline.reset()
 
     def step(self, sample):
         smoothed = self.notch.step(self.lowpass.step(sample))

@@ -11,6 +11,7 @@ from fhrmon.lms import (
     LmsConfig,
     LmsState,
     ParallelDatapath,
+    Schedule,
     SeriesDatapath,
     choose_scale_factor,
     lms_step,
@@ -100,7 +101,7 @@ class TestCycleAccounting:
 
     def test_stats_serialization(self):
         st = CycleStats(cycles_per_sample=39, fpu_instances=9)
-        st.account([3] * 19 + [5] + [2] * 18 + [0])
+        st.tally(Schedule.series(19))
         d = st.to_dict()
         assert d["total_cycles"] == 39
         assert d["fpu_ops_issued"] == 98

@@ -7,12 +7,13 @@ backend to ``fpu.py`` word for word, flag for flag and message for message.
 
 from __future__ import annotations
 
+import hashlib
 from itertools import repeat
 
 import numpy as np
 import pytest
 
-from fhrmon import lms
+from fhrmon import fhr, lms
 from fhrmon.fpu import FpuFlags, OperandError, fpu_add, fpu_mul, fpu_sub, join
 from fhrmon.io import SynthSpec, generate_synthetic
 from fhrmon.numeric import SoftF32Backend
@@ -170,3 +171,20 @@ class TestOpCountFidelity:
         n = self.N
         assert counts == {"add": 38 * n, "sub": n, "mul": 59 * n, "gt": 0, "lt": 0}
         assert sum(counts.values()) == datapath.stats.fpu_ops_issued
+
+
+def _digest(words) -> str:
+    return hashlib.sha256(np.array(words, dtype="<u4").tobytes()).hexdigest()
+
+
+def test_stage_words_pinned():
+    """Soft preprocess and enhancement words, bit for bit, on a 2 s record."""
+    rec = generate_synthetic(SynthSpec(duration_s=2.0, seed=1234))
+    backend = SoftF32Backend()
+    thoracic = PreprocessChain(backend).process(rec.channel("thoracic"))
+    abdominal = PreprocessChain(backend).process(rec.channel("abdominal"))
+    sdm, m1 = fhr.enhance(backend, abdominal)
+    assert _digest(thoracic) == "3475a385133b0aa619896ae87c35981d8d4c52f12c7cb7279ba4b338f610a977"
+    assert _digest(abdominal) == "742f9d92ddb6e14e8df4203ae5da1b9958253f01c41a71549d10f95cc58d2e59"
+    assert _digest(sdm) == "65ce5afc9ab5092f8b7abe69416102ba0d5c3cbf4df171b1a8f70ba37c95ea2f"
+    assert m1 == 0x386FD091

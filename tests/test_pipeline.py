@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fhrmon import fhr, fpu
+from fhrmon import fhr, fpu, lms
 from fhrmon.cli import main as cli_main
 from fhrmon.io import SynthSpec, generate_synthetic, write_annotations, write_recording
 from fhrmon.numeric import make_backend
@@ -48,6 +48,15 @@ class TestRunConfig:
             RunConfig(synth=FAST_SPEC, trace=["fft"])
         with pytest.raises(ConfigError):
             RunConfig(synth=FAST_SPEC, order=0)
+
+    def test_rejects_negative_convergence_index(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="convergence_index"):
+            fast_config(convergence_index=-1500)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        rc = cli_main(["run", "--synth", str(spec_path), "--convergence-index", "-1500"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: convergence_index")
 
     def test_json_roundtrip(self, tmp_path):
         cfg = fast_config(trace=["lms"], out_dir=str(tmp_path / "out"))
@@ -204,6 +213,15 @@ class TestExitStatusContract:
         report = json.loads(capsys.readouterr().out)
         assert report["failures"]
 
+    def test_convergence_marker_past_the_end_fails_before_processing(self, monkeypatch):
+        def not_reached(*args):
+            raise AssertionError("the canceller ran")
+
+        monkeypatch.setattr(lms, "run_canceller", not_reached)
+        n = generate_synthetic(FAST_SPEC).n_samples
+        rep = run_pipeline(fast_config(convergence_index=n))
+        assert rep.failures == ["no samples after the convergence marker"]
+
 
 class TestCli:
     def test_run_synth_spec_file(self, tmp_path, capsys):
@@ -231,6 +249,25 @@ class TestCli:
     def test_exit_status_on_config_error(self, tmp_path, capsys):
         rc = cli_main(["run", "--input", "nope.csv", "--synth", "also.json"])
         assert rc == 2
+
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["run", "--input", str(tmp_path / "absent.csv"), "--fs", "1000"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_channel_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        write_recording(generate_synthetic(SynthSpec(duration_s=0.5)), path)
+        rc = cli_main(["run", "--input", str(path), "--fs", "1000", "--thoracic", "chest"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: channel 'chest'")
+
+    def test_out_of_range_synth_spec_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"fetal_bpm": 10.0}))
+        rc = cli_main(["run", "--synth", str(spec_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: fetal_bpm")
 
     def test_fpu_subcommand_add(self, capsys):
         rc = cli_main(["fpu", "add", "3f800000", "3f800000"])

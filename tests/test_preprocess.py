@@ -197,7 +197,7 @@ class TestBaseline:
         mb = MovingAverageBaseline(bk, n1=10, n2=5)
         for v in range(50):
             mb.step(float(v))
-        assert len(mb._ring1) == 10 and len(mb._ring2) == 5
+        assert len(mb.mean1.ring) == 10 and len(mb.mean2.ring) == 5
 
     def test_rejects_bad_windows(self):
         with pytest.raises(ValueError):
