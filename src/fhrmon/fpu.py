@@ -162,6 +162,22 @@ def fpu_add(a: int, b: int, flags: FpuFlags | None = None) -> int:
     """
     _check_operand(a)
     _check_operand(b)
+    return _add_checked(a, b, flags)
+
+
+def fpu_sub(a: int, b: int, flags: FpuFlags | None = None) -> int:
+    """Subtract ``b`` from ``a``: the :func:`fpu_add` algorithm on ``b`` negated.
+
+    The operands are checked first so an :class:`OperandError` names the
+    word the caller passed, not its negation.
+    """
+    _check_operand(a)
+    _check_operand(b)
+    return _add_checked(a, b ^ SIGN_MASK, flags)
+
+
+def _add_checked(a: int, b: int, flags: FpuFlags | None) -> int:
+    """The add algorithm on two words the caller has already checked."""
     if a & ~SIGN_MASK == 0:
         if b & ~SIGN_MASK == 0:
             return a if a == b else ZERO_POS
@@ -192,17 +208,6 @@ def fpu_add(a: int, b: int, flags: FpuFlags | None = None) -> int:
     if mb > ma:
         return _pack(sb, mb - ma, base, flags)
     return ZERO_POS
-
-
-def fpu_sub(a: int, b: int, flags: FpuFlags | None = None) -> int:
-    """Subtract ``b`` from ``a``: :func:`fpu_add` of ``a`` and ``b`` negated.
-
-    The operands are checked first so an :class:`OperandError` names the
-    word the caller passed, not its negation.
-    """
-    _check_operand(a)
-    _check_operand(b)
-    return fpu_add(a, b ^ SIGN_MASK, flags)
 
 
 def fpu_mul(a: int, b: int, flags: FpuFlags | None = None) -> int:

@@ -62,6 +62,14 @@ class Recording:
         lengths = {name: len(ch) for name, ch in self.channels.items()}
         if len(set(lengths.values())) > 1:
             raise RecordingError(f"channel lengths differ: {lengths}")
+        for name, ch in self.channels.items():
+            bad = np.flatnonzero(~np.isfinite(ch))
+            if len(bad):
+                where = f"{self.provenance}: " if self.provenance else ""
+                raise RecordingError(
+                    f"{where}channel {name!r} has a non-finite sample "
+                    f"({ch[bad[0]]}) at index {bad[0]}"
+                )
         if self.annotations:
             n = self.n_samples
             for tag, peaks in self.annotations.items():

@@ -20,6 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,6 +159,20 @@ def effective_convergence_index(cfg_value: int | None, n_samples: int) -> int:
     return min(fhr.CONVERGENCE_SAMPLES, n_samples // 2)
 
 
+class FrontEnd(NamedTuple):
+    """Both preprocessed channels and the scale factors chosen from them.
+
+    Everything before the canceller depends only on the recording and the
+    configuration, never on the architecture, so one front end can feed both
+    datapaths.
+    """
+
+    thoracic_pp: list
+    abdominal_pp: list
+    scale_x: float
+    scale_d: float
+
+
 class RunArtifacts:
     """Intermediate products of one single-architecture pass."""
 
@@ -176,6 +191,9 @@ class RunArtifacts:
         self.convergence_index = 0
         self.warnings: list[str] = []
 
+    def front_end(self) -> FrontEnd:
+        return FrontEnd(self.thoracic_pp, self.abdominal_pp, self.scale_x, self.scale_d)
+
 
 def load_input(cfg: RunConfig) -> Recording:
     """Load or synthesize the configured recording, annotations attached."""
@@ -190,8 +208,38 @@ def load_input(cfg: RunConfig) -> Recording:
     return rec
 
 
-def execute(cfg: RunConfig, arch: str, recording: Recording | None = None) -> RunArtifacts:
-    """Run preprocess -> canceller -> detection for one architecture."""
+def preprocess_front_end(cfg: RunConfig, rec: Recording, backend) -> FrontEnd:
+    """Preprocess both channels and choose their canceller scale factors.
+
+    The scale factors are chosen from the samples after the chain's warm-up.
+    """
+    chain_t = PreprocessChain(backend)
+    chain_a = PreprocessChain(backend)
+    thoracic_pp = chain_t.process(rec.channel(cfg.thoracic))
+    abdominal_pp = chain_a.process(rec.channel(cfg.abdominal))
+    warmup = chain_t.warmup_samples
+
+    dec = backend.decode
+    scale_x = lms.choose_scale_factor(
+        np.array([dec(w) for w in thoracic_pp[warmup:]]), cfg.scale_target
+    )
+    scale_d = lms.choose_scale_factor(
+        np.array([dec(w) for w in abdominal_pp[warmup:]]), cfg.scale_target
+    )
+    return FrontEnd(thoracic_pp, abdominal_pp, scale_x, scale_d)
+
+
+def execute(
+    cfg: RunConfig,
+    arch: str,
+    recording: Recording | None = None,
+    front_end: FrontEnd | None = None,
+) -> RunArtifacts:
+    """Run preprocess -> canceller -> detection for one architecture.
+
+    A ``front_end`` computed earlier for the same recording and configuration
+    replaces the preprocessing pass; the canceller and detection always run.
+    """
     rec = recording if recording is not None else load_input(cfg)
     backend = make_backend(cfg.backend, cfg.cmp_mode)
     art = RunArtifacts(rec, backend, arch)
@@ -199,19 +247,9 @@ def execute(cfg: RunConfig, arch: str, recording: Recording | None = None) -> Ru
     if art.convergence_index >= rec.n_samples:
         raise PipelineError("no samples after the convergence marker")
 
-    chain_t = PreprocessChain(backend)
-    chain_a = PreprocessChain(backend)
-    art.thoracic_pp = chain_t.process(rec.channel(cfg.thoracic))
-    art.abdominal_pp = chain_a.process(rec.channel(cfg.abdominal))
-    warmup = chain_t.warmup_samples
-
-    dec = backend.decode
-    art.scale_x = lms.choose_scale_factor(
-        np.array([dec(w) for w in art.thoracic_pp[warmup:]]), cfg.scale_target
-    )
-    art.scale_d = lms.choose_scale_factor(
-        np.array([dec(w) for w in art.abdominal_pp[warmup:]]), cfg.scale_target
-    )
+    if front_end is None:
+        front_end = preprocess_front_end(cfg, rec, backend)
+    art.thoracic_pp, art.abdominal_pp, art.scale_x, art.scale_d = front_end
 
     lms_cfg = lms.LmsConfig(
         order=cfg.order,
@@ -377,43 +415,41 @@ class ArchitectureComparison:
 
 
 def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
-    """Run both datapaths on identical inputs and demand bit-identical output.
+    """Run both datapaths on one front end and demand bit-identical output.
+
+    The recording is preprocessed once, in the series pass, and the parallel
+    pass reuses those words and scale factors; each datapath then runs its own
+    canceller and detection.  A comparison writes no files, so a configured
+    ``out_dir`` or ``trace`` is a :class:`ConfigError`.
 
     Raises :class:`PipelineError` naming the first divergent sample if the
     error streams differ anywhere.
     """
+    if cfg.out_dir or cfg.trace:
+        raise ConfigError(
+            "compare writes no files: out_dir (--out) and trace (--trace) do not apply"
+        )
     rec = load_input(cfg)
-    arts = {}
-    for arch in ("series", "parallel"):
-        sub = cfg.replaced(arch=arch, out_dir=None, trace=[])
-        arts[arch] = execute(sub, arch, rec)
+    series_cfg, parallel_cfg = cfg.replaced(arch="series"), cfg.replaced(arch="parallel")
+    series = execute(series_cfg, "series", rec)
+    parallel = execute(parallel_cfg, "parallel", rec, series.front_end())
 
-    first_div = None
-    for i, (a, b) in enumerate(zip(arts["series"].errors, arts["parallel"].errors)):
-        if a != b:
-            first_div = i
-            break
-    if first_div is not None:
+    if series.errors != parallel.errors:
+        i = next(i for i, (a, b) in enumerate(zip(series.errors, parallel.errors)) if a != b)
         raise PipelineError(
-            f"architecture outputs diverge at sample {first_div}: "
-            f"series={arts['series'].errors[first_div]!r} "
-            f"parallel={arts['parallel'].errors[first_div]!r}"
+            f"architecture outputs diverge at sample {i}: "
+            f"series={series.errors[i]!r} parallel={parallel.errors[i]!r}"
         )
 
-    reports = {
-        arch: build_report(cfg.replaced(arch=arch, out_dir=None, trace=[]), arts[arch], [])
-        for arch in ("series", "parallel")
-    }
-    ratio = arts["series"].stats.total_cycles / arts["parallel"].stats.total_cycles
     return ArchitectureComparison(
-        series_report=reports["series"],
-        parallel_report=reports["parallel"],
+        series_report=build_report(series_cfg, series, []),
+        parallel_report=build_report(parallel_cfg, parallel, []),
         identical_outputs=True,
         first_divergence=None,
-        cycle_ratio=ratio,
+        cycle_ratio=series.stats.total_cycles / parallel.stats.total_cycles,
         fpu_instances={
-            "series": arts["series"].stats.fpu_instances,
-            "parallel": arts["parallel"].stats.fpu_instances,
+            "series": series.stats.fpu_instances,
+            "parallel": parallel.stats.fpu_instances,
         },
     )
 

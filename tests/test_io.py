@@ -37,6 +37,13 @@ class TestRecordingType:
                 annotations={"fetal": PeakSet([10])},
             )
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_sample_rejected(self, value):
+        b = np.zeros(5)
+        b[[2, 4]] = value
+        with pytest.raises(RecordingError, match=r"'b' has a non-finite sample .* index 2$"):
+            Recording({"a": np.zeros(5), "b": b}, fs=10.0)
+
     def test_unknown_channel_error_lists_available(self):
         rec = Recording({"a": np.zeros(5), "b": np.zeros(5)}, fs=10.0)
         with pytest.raises(RecordingError, match="available"):

@@ -13,12 +13,14 @@ from fhrmon.io import SynthSpec, generate_synthetic, write_annotations, write_re
 from fhrmon.numeric import make_backend
 from fhrmon.pipeline import (
     ConfigError,
+    PipelineError,
     RunConfig,
     baseline_comparison,
     compare_architectures,
     effective_convergence_index,
     run_pipeline,
 )
+from fhrmon.preprocess import PreprocessChain
 
 # short, fast synthetic spec for orchestration-level tests
 FAST_SPEC = SynthSpec(duration_s=6.0, seed=21)
@@ -165,6 +167,64 @@ class TestCompareArchitectures:
         cmp_result = compare_architectures(cfg)
         assert cmp_result.cycle_ratio == 3.0
 
+    def test_preprocesses_once_for_both_architectures(self, monkeypatch):
+        calls = []
+        process = PreprocessChain.process
+
+        def counting_process(chain, samples):
+            calls.append(len(samples))
+            return process(chain, samples)
+
+        monkeypatch.setattr(PreprocessChain, "process", counting_process)
+        compare_architectures(fast_config(arch="both"))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_reports_match_single_architecture_runs(self, backend):
+        cfg = fast_config(arch="both", backend=backend)
+        cmp_result = compare_architectures(cfg)
+        compared = {"series": cmp_result.series_report, "parallel": cmp_result.parallel_report}
+        for arch, report in compared.items():
+            alone = run_pipeline(cfg.replaced(arch=arch))
+            for key in ("fhr", "metrics", "scale_factors", "cycle_stats", "threshold", "warnings"):
+                assert getattr(report, key) == getattr(alone, key), (arch, key)
+
+    def test_divergence_names_first_differing_sample(self, monkeypatch):
+        run_canceller = lms.run_canceller
+
+        def perturbed(datapath, x, d):
+            errors, first_flag = run_canceller(datapath, x, d)
+            if isinstance(datapath, lms.SeriesDatapath):
+                errors[7] += 1.0
+                errors[9] += 1.0
+            return errors, first_flag
+
+        monkeypatch.setattr(lms, "run_canceller", perturbed)
+        with pytest.raises(PipelineError, match=r"diverge at sample 7: series=\S+ parallel=\S+$"):
+            compare_architectures(fast_config(arch="both"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--out", "OUT"],
+            ["compare", "--trace", "lms"],
+            ["compare", "--out", "OUT", "--trace", "lms"],
+            ["run", "--arch", "both", "--out", "OUT"],
+            ["compare", "--config", "CFG"],
+        ],
+    )
+    def test_out_and_trace_rejected(self, argv, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out_dir": str(out)}))
+        argv = [{"OUT": str(out), "CFG": str(cfg_path)}.get(a, a) for a in argv]
+        rc = cli_main(argv + ["--synth", str(spec_path), "--backend", "float64"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: compare writes no files")
+        assert not out.exists()
+
 
 class TestBaselineComparison:
     def test_rows_side_by_side(self):
@@ -268,6 +328,19 @@ class TestCli:
         rc = cli_main(["run", "--synth", str(spec_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: fetal_bpm")
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sample_exits_2(self, value, backend, tmp_path, capsys):
+        rec = generate_synthetic(SynthSpec(duration_s=0.5))
+        rec.channels["abdominal"][100] = value
+        path = tmp_path / "rec.csv"
+        write_recording(rec, path)
+        rc = cli_main(["run", "--input", str(path), "--fs", "1000", "--backend", backend])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: channel 'abdominal' has a non-finite sample")
+        assert err.rstrip().endswith("at index 100")
 
     def test_fpu_subcommand_add(self, capsys):
         rc = cli_main(["fpu", "add", "3f800000", "3f800000"])
