@@ -119,8 +119,9 @@ def _run_compare(cfg: RunConfig) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    return _run_compare(cfg)
+    if args.arch in ("series", "parallel"):
+        raise ConfigError(f"compare runs both architectures: --arch {args.arch} does not apply")
+    return _run_compare(_config_from_args(args))
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:

@@ -19,7 +19,6 @@ annotations uses greedy one-to-one matching inside a +/-50 ms window.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .numeric import RunningMean, quantized
@@ -175,7 +174,6 @@ def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object, bool]:
                 cand_loc = idx
 
     if not locations:
-        warnings.warn("no sdm sample exceeded m1; threshold is degenerate")
         return PeakSet(), bk.mul(m1, half), True
 
     acc = bk.zero
@@ -201,8 +199,9 @@ def select_fetal_peaks(backend, maxima: PeakSet, maxima_raw, th, min_gap: int) -
         for loc, raw, dec in zip(maxima.locations, maxima_raw, maxima.values or [])
         if bk.gt(raw, th)
     ]
+    # Empty only under a caller's own th: detect_peaks' th = (m1 + m2) / 2 sits
+    # below the largest maximum, which therefore always survives.
     if not survivors:
-        warnings.warn("no maxima above the detection threshold")
         return PeakSet()
 
     out_locs: list[int] = []
@@ -262,8 +261,6 @@ def compute_fhr(
     mean_rr_s = (sum(rr) / len(rr)) / fs
     fhr = 60.0 / mean_rr_s
     plausible = FHR_PLAUSIBLE_BPM[0] <= fhr <= FHR_PLAUSIBLE_BPM[1]
-    if not plausible:
-        warnings.warn(f"FHR estimate {fhr:.1f} bpm outside plausible range")
     vals = None
     if peaks.values is not None:
         vals = [v for p, v in zip(peaks.locations, peaks.values) if p > convergence_index]

@@ -60,10 +60,6 @@ class FpuFlags:
     overflow: int = 0
     underflow: int = 0
 
-    def reset(self) -> None:
-        self.overflow = 0
-        self.underflow = 0
-
     def any(self) -> bool:
         return bool(self.overflow or self.underflow)
 

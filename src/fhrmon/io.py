@@ -63,12 +63,17 @@ class Recording:
         if len(set(lengths.values())) > 1:
             raise RecordingError(f"channel lengths differ: {lengths}")
         for name, ch in self.channels.items():
-            bad = np.flatnonzero(~np.isfinite(ch))
+            # The soft datapath encodes every sample as a float32 word; one that
+            # rounds to inf there is as unusable as a NaN or inf on any backend.
+            with np.errstate(over="ignore"):
+                bad = np.flatnonzero(~np.isfinite(np.asarray(ch, dtype=np.float32)))
             if len(bad):
+                value = ch[bad[0]]
+                finite = np.isfinite(value)
+                kind = "a sample float32 cannot hold" if finite else "a non-finite sample"
                 where = f"{self.provenance}: " if self.provenance else ""
                 raise RecordingError(
-                    f"{where}channel {name!r} has a non-finite sample "
-                    f"({ch[bad[0]]}) at index {bad[0]}"
+                    f"{where}channel {name!r} has {kind} ({value}) at index {bad[0]}"
                 )
         if self.annotations:
             n = self.n_samples

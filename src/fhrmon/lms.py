@@ -127,7 +127,6 @@ class LmsState:
     """Tap window and weight vector, plus the encoded constants."""
 
     def __init__(self, cfg: LmsConfig, backend):
-        self.cfg = cfg
         self.backend = backend
         self.input_scale = backend.encode(quantized(cfg.input_scale))
         self.desired_scale = backend.encode(quantized(cfg.desired_scale))

@@ -136,8 +136,7 @@ class Float64Backend:
 
     name = "float64"
 
-    def __init__(self, cmp_mode: str = "corrected"):
-        self.cmp_mode = cmp_mode  # accepted for interface parity; unused
+    def __init__(self):
         self.flags = FpuFlags()
         self.zero = 0.0
 
@@ -172,7 +171,7 @@ def make_backend(name: str, cmp_mode: str = "corrected"):
     if name == "soft":
         return SoftF32Backend(cmp_mode)
     if name == "float64":
-        return Float64Backend(cmp_mode)
+        return Float64Backend()
     raise ValueError(f"unknown backend: {name!r}")
 
 

@@ -125,17 +125,18 @@ class RunReport:
     fs: float
     convergence_index: int
     scoring_start: int
-    fhr: dict | None
-    metrics: dict | None
-    cycle_stats: dict
-    convergence_cycles: dict
-    convergence_time_ms: dict
-    reference_times_ms: dict
-    scale_factors: dict
-    threshold: dict
-    warnings: list[str]
-    failures: list[str]
-    generated_at: str = ""
+    # A run that fails before its stages finish leaves the rest at defaults.
+    fhr: dict | None = None
+    metrics: dict | None = None
+    cycle_stats: dict = field(default_factory=dict)
+    convergence_cycles: dict = field(default_factory=dict)
+    convergence_time_ms: dict = field(default_factory=dict)
+    reference_times_ms: dict = field(default_factory=lambda: dict(REFERENCE_CONVERGENCE_MS))
+    scale_factors: dict = field(default_factory=dict)
+    threshold: dict = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)
+    generated_at: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -173,26 +174,19 @@ class FrontEnd(NamedTuple):
     scale_d: float
 
 
+@dataclass
 class RunArtifacts:
-    """Intermediate products of one single-architecture pass."""
+    """Everything one single-architecture pass produced."""
 
-    def __init__(self, recording: Recording, backend, arch: str):
-        self.recording = recording
-        self.backend = backend
-        self.arch = arch
-        self.thoracic_pp: list = []
-        self.abdominal_pp: list = []
-        self.scale_x = 1.0
-        self.scale_d = 1.0
-        self.errors: list = []
-        self.stats: lms.CycleStats | None = None
-        self.first_flag_index: int | None = None
-        self.detection: dict | None = None
-        self.convergence_index = 0
-        self.warnings: list[str] = []
-
-    def front_end(self) -> FrontEnd:
-        return FrontEnd(self.thoracic_pp, self.abdominal_pp, self.scale_x, self.scale_d)
+    recording: Recording
+    backend: object  # the SoftF32Backend or Float64Backend every stage ran on
+    arch: str
+    front_end: FrontEnd
+    convergence_index: int
+    errors: list
+    stats: lms.CycleStats
+    detection: dict
+    warnings: list[str]
 
 
 def load_input(cfg: RunConfig) -> Recording:
@@ -241,38 +235,35 @@ def execute(
     replaces the preprocessing pass; the canceller and detection always run.
     """
     rec = recording if recording is not None else load_input(cfg)
-    backend = make_backend(cfg.backend, cfg.cmp_mode)
-    art = RunArtifacts(rec, backend, arch)
-    art.convergence_index = effective_convergence_index(cfg.convergence_index, rec.n_samples)
-    if art.convergence_index >= rec.n_samples:
+    conv = effective_convergence_index(cfg.convergence_index, rec.n_samples)
+    if conv >= rec.n_samples:
         raise PipelineError("no samples after the convergence marker")
-
+    backend = make_backend(cfg.backend, cfg.cmp_mode)
     if front_end is None:
         front_end = preprocess_front_end(cfg, rec, backend)
-    art.thoracic_pp, art.abdominal_pp, art.scale_x, art.scale_d = front_end
 
     lms_cfg = lms.LmsConfig(
         order=cfg.order,
         step_size=cfg.mu,
-        input_scale=art.scale_x,
-        desired_scale=art.scale_d,
+        input_scale=front_end.scale_x,
+        desired_scale=front_end.scale_d,
     )
     datapath = lms.make_datapath(arch, lms_cfg, backend)
-    art.errors, art.first_flag_index = lms.run_canceller(
-        datapath, art.thoracic_pp, art.abdominal_pp
+    errors, first_flag = lms.run_canceller(
+        datapath, front_end.thoracic_pp, front_end.abdominal_pp
     )
-    art.stats = datapath.stats
-    if art.first_flag_index is not None:
-        art.warnings.append(
-            f"arithmetic saturation/flush first raised at sample {art.first_flag_index}"
-        )
+    warnings = []
+    if first_flag is not None:
+        warnings.append(f"arithmetic saturation/flush first raised at sample {first_flag}")
 
-    art.detection = fhr.detect_peaks(backend, art.errors[art.convergence_index :], rec.fs)
-    art.detection["peaks_absolute"] = art.detection["peaks"].shifted(art.convergence_index)
-    art.detection["maxima_absolute"] = art.detection["maxima"].shifted(art.convergence_index)
-    if art.detection["degenerate"]:
-        art.warnings.append("degenerate detection threshold (no maxima above m1)")
-    return art
+    detection = fhr.detect_peaks(backend, errors[conv:], rec.fs)
+    detection["peaks_absolute"] = detection["peaks"].shifted(conv)
+    detection["maxima_absolute"] = detection["maxima"].shifted(conv)
+    if detection["degenerate"]:
+        warnings.append("degenerate detection threshold (no maxima above m1)")
+    return RunArtifacts(
+        rec, backend, arch, front_end, conv, errors, datapath.stats, detection, warnings
+    )
 
 
 def score_against_annotations(
@@ -303,9 +294,10 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
         return fpu.to_hex(w) if is_soft else repr(w)
 
     if "preprocess" in cfg.trace:
+        fe = art.front_end
         with open(out / "preprocess.csv", "w", encoding="utf-8") as fh:
             fh.write("n,thoracic,abdominal\n")
-            for i, (tw, aw) in enumerate(zip(art.thoracic_pp, art.abdominal_pp)):
+            for i, (tw, aw) in enumerate(zip(fe.thoracic_pp, fe.abdominal_pp)):
                 fh.write(f"{i},{dec(tw)!r},{dec(aw)!r}\n")
     if "lms" in cfg.trace:
         with open(out / "lms.csv", "w", encoding="utf-8") as fh:
@@ -325,37 +317,24 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
             fh.write(f"{loc},{loc / art.recording.fs!r},{val!r}\n")
 
 
-def build_report(cfg: RunConfig, art: RunArtifacts, failures: list[str]) -> RunReport:
+def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
     rec = art.recording
     conv = art.convergence_index
     scoring_start = conv + SCORING_GUARD_SAMPLES
-    warnings_list = list(art.warnings)
+    peaks = art.detection["peaks_absolute"]
+    warnings = list(art.warnings)
+    failures = []
 
     fhr_dict = None
-    metrics_dict = None
-    threshold = {}
-    stats_dict = {}
-    conv_cycles = {}
-    conv_ms = {}
-    scale_factors = {}
-    if art.detection is not None:
-        threshold = {"m1": art.detection["m1"], "th": art.detection["th"]}
-        try:
-            result = fhr.compute_fhr(art.detection["peaks_absolute"], rec.fs, conv)
-            fhr_dict = result.to_dict()
-            if not result.plausible:
-                warnings_list.append(f"FHR {result.fhr_bpm:.1f} bpm outside plausible range")
-        except fhr.NoEstimateError as exc:
-            failures = failures + [f"fhr: {exc}"]
-        metrics = score_against_annotations(
-            rec, art.detection["peaks_absolute"], scoring_start, rec.fs
-        )
-        metrics_dict = metrics.to_dict() if metrics else None
-    if art.stats is not None:
-        stats_dict[art.arch] = art.stats.to_dict()
-        conv_cycles[art.arch] = art.stats.cycles_per_sample * conv
-        conv_ms[art.arch] = conv_cycles[art.arch] / cfg.clock_hz * 1000.0
-        scale_factors = {"thoracic": art.scale_x, "abdominal": art.scale_d}
+    try:
+        result = fhr.compute_fhr(peaks, rec.fs, conv)
+        fhr_dict = result.to_dict()
+        if not result.plausible:
+            warnings.append(f"FHR {result.fhr_bpm:.1f} bpm outside plausible range")
+    except fhr.NoEstimateError as exc:
+        failures.append(f"fhr: {exc}")
+    metrics = score_against_annotations(rec, peaks, scoring_start, rec.fs)
+    conv_cycles = art.stats.cycles_per_sample * conv
 
     return RunReport(
         config=cfg.to_dict(),
@@ -364,16 +343,14 @@ def build_report(cfg: RunConfig, art: RunArtifacts, failures: list[str]) -> RunR
         convergence_index=conv,
         scoring_start=scoring_start,
         fhr=fhr_dict,
-        metrics=metrics_dict,
-        cycle_stats=stats_dict,
-        convergence_cycles=conv_cycles,
-        convergence_time_ms=conv_ms,
-        reference_times_ms=dict(REFERENCE_CONVERGENCE_MS),
-        scale_factors=scale_factors,
-        threshold=threshold,
-        warnings=warnings_list,
+        metrics=metrics.to_dict() if metrics else None,
+        cycle_stats={art.arch: art.stats.to_dict()},
+        convergence_cycles={art.arch: conv_cycles},
+        convergence_time_ms={art.arch: conv_cycles / cfg.clock_hz * 1000.0},
+        scale_factors={"thoracic": art.front_end.scale_x, "abdominal": art.front_end.scale_d},
+        threshold={"m1": art.detection["m1"], "th": art.detection["th"]},
+        warnings=warnings,
         failures=failures,
-        generated_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
 
 
@@ -381,19 +358,34 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute the full chain for one architecture and assemble the report."""
     if cfg.arch == "both":
         raise ConfigError("run_pipeline handles one architecture; use compare_architectures")
-    failures: list[str] = []
     rec = load_input(cfg)
-    art = RunArtifacts(rec, make_backend(cfg.backend, cfg.cmp_mode), cfg.arch)
     try:
         art = execute(cfg, cfg.arch, rec)
+    except PipelineError as exc:
+        conv = effective_convergence_index(cfg.convergence_index, rec.n_samples)
+        report = RunReport(
+            config=cfg.to_dict(),
+            n_samples=rec.n_samples,
+            fs=rec.fs,
+            convergence_index=conv,
+            scoring_start=conv + SCORING_GUARD_SAMPLES,
+            failures=[str(exc)],
+        )
+    else:
         write_traces(cfg, art)
-    except (PipelineError, fpu.OperandError) as exc:
-        failures.append(str(exc))
-    report = build_report(cfg, art, failures)
+        report = build_report(cfg, art)
     if cfg.out_dir:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         report.write(Path(cfg.out_dir) / "report.json")
     return report
+
+
+def _reject_file_outputs(cfg: RunConfig, command: str) -> None:
+    """``command`` prints its result and writes no files, so fail on any asked for."""
+    if cfg.out_dir or cfg.trace:
+        raise ConfigError(
+            f"{command} writes no files: out_dir (--out) and trace (--trace) do not apply"
+        )
 
 
 @dataclass
@@ -425,14 +417,11 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
     Raises :class:`PipelineError` naming the first divergent sample if the
     error streams differ anywhere.
     """
-    if cfg.out_dir or cfg.trace:
-        raise ConfigError(
-            "compare writes no files: out_dir (--out) and trace (--trace) do not apply"
-        )
+    _reject_file_outputs(cfg, "compare")
     rec = load_input(cfg)
     series_cfg, parallel_cfg = cfg.replaced(arch="series"), cfg.replaced(arch="parallel")
     series = execute(series_cfg, "series", rec)
-    parallel = execute(parallel_cfg, "parallel", rec, series.front_end())
+    parallel = execute(parallel_cfg, "parallel", rec, series.front_end)
 
     if series.errors != parallel.errors:
         i = next(i for i, (a, b) in enumerate(zip(series.errors, parallel.errors)) if a != b)
@@ -442,8 +431,8 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
         )
 
     return ArchitectureComparison(
-        series_report=build_report(series_cfg, series, []),
-        parallel_report=build_report(parallel_cfg, parallel, []),
+        series_report=build_report(series_cfg, series),
+        parallel_report=build_report(parallel_cfg, parallel),
         identical_outputs=True,
         first_divergence=None,
         cycle_ratio=series.stats.total_cycles / parallel.stats.total_cycles,
@@ -458,8 +447,11 @@ def baseline_comparison(cfg: RunConfig) -> dict:
     """Score the proposed two-mean norm against a single-mean detector.
 
     The single-mean baseline accepts every enhanced-signal maximum above m1
-    with no second threshold and no minimum-gap arbitration.
+    with no second threshold and no minimum-gap arbitration.  Like a comparison
+    it writes no files, so a configured ``out_dir`` or ``trace`` is a
+    :class:`ConfigError`.
     """
+    _reject_file_outputs(cfg, "baseline")
     rec = load_input(cfg)
     if not rec.annotations or "fetal" not in rec.annotations:
         raise ConfigError("baseline comparison requires fetal annotations")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,8 +99,7 @@ class TestLocalMaxima:
     def test_constant_below_threshold_is_degenerate(self):
         bk = make_backend("soft")
         seq = encode_all(bk, np.full(100, 0.1))
-        with pytest.warns(UserWarning):
-            maxima, th, degenerate = find_local_maxima(bk, seq, bk.encode(0.25))
+        maxima, th, degenerate = find_local_maxima(bk, seq, bk.encode(0.25))
         assert degenerate
         assert len(maxima) == 0
         assert bk.decode(th) == pytest.approx(0.125)
@@ -152,8 +153,7 @@ class TestSelection:
 
     def test_all_below_threshold_empty(self):
         bk, ps, raw = self.make([100, 400], [0.5, 0.6])
-        with pytest.warns(UserWarning):
-            out = select_fetal_peaks(bk, ps, raw, bk.encode(2.0), 200)
+        out = select_fetal_peaks(bk, ps, raw, bk.encode(2.0), 200)
         assert len(out) == 0
 
     def test_arbitration_keeps_larger_of_close_pair(self):
@@ -210,7 +210,13 @@ class TestComputeFhr:
 
     def test_implausible_rate_flagged(self):
         locs = list(range(13000, 20000, 1500))  # 40 bpm
-        with pytest.warns(UserWarning):
+        res = compute_fhr(PeakSet(locs), fs=1000.0)
+        assert not res.plausible
+
+    def test_implausible_rate_raises_no_python_warning(self):
+        locs = list(range(13000, 20000, 1500))  # 40 bpm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = compute_fhr(PeakSet(locs), fs=1000.0)
         assert not res.plausible
 

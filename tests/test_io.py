@@ -44,6 +44,16 @@ class TestRecordingType:
         with pytest.raises(RecordingError, match=r"'b' has a non-finite sample .* index 2$"):
             Recording({"a": np.zeros(5), "b": b}, fs=10.0)
 
+    @pytest.mark.parametrize("value", [3.4028236e38, -3.4028236e38, 1e39])
+    def test_sample_float32_cannot_hold_rejected(self, value):
+        # round to nearest: 3.4028236e38 overflows float32, 3.4028235e38 does not
+        b = np.zeros(5)
+        b[[3, 4]] = value
+        with pytest.raises(RecordingError, match=r"'b' has a sample float32 cannot .* index 3$"):
+            Recording({"a": np.zeros(5), "b": b}, fs=10.0)
+        b[[3, 4]] = np.sign(value) * 3.4028235e38
+        Recording({"a": np.zeros(5), "b": b}, fs=10.0)
+
     def test_unknown_channel_error_lists_available(self):
         rec = Recording({"a": np.zeros(5), "b": np.zeros(5)}, fs=10.0)
         with pytest.raises(RecordingError, match="available"):

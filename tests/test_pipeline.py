@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from fhrmon import fhr, fpu, lms
 from fhrmon.cli import main as cli_main
-from fhrmon.io import SynthSpec, generate_synthetic, write_annotations, write_recording
+from fhrmon.io import (
+    Recording,
+    SynthSpec,
+    generate_synthetic,
+    write_annotations,
+    write_recording,
+)
 from fhrmon.numeric import make_backend
 from fhrmon.pipeline import (
+    SCORING_GUARD_SAMPLES,
     ConfigError,
     PipelineError,
     RunConfig,
@@ -233,6 +241,18 @@ class TestBaselineComparison:
         assert out["proposed"] is not None
         assert out["single_mean"] is not None
 
+    @pytest.mark.parametrize("argv", [["--out", "OUT"], ["--trace", "lms"], ["--config", "CFG"]])
+    def test_out_and_trace_rejected(self, argv, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
+        argv = [{"OUT": str(tmp_path / "out"), "CFG": str(cfg_path)}.get(a, a) for a in argv]
+        rc = cli_main(["baseline", *argv, "--synth", str(spec_path), "--backend", "float64"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: baseline writes no files")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "spec.json"]
+
 
 class TestCancellationQuality:
     def test_maternal_energy_reduced_in_error_signal(self, soft_artifacts):
@@ -242,7 +262,7 @@ class TestCancellationQuality:
         bk = art.backend
         rec = art.recording
         e = np.array([bk.decode(w) for w in art.errors])
-        abd = np.array([bk.decode(w) for w in art.abdominal_pp]) * art.scale_d
+        abd = np.array([bk.decode(w) for w in art.front_end.abdominal_pp]) * art.front_end.scale_d
         f_ann = np.asarray(rec.annotations["fetal"].locations)
         m_ann = [
             m
@@ -281,6 +301,24 @@ class TestExitStatusContract:
         n = generate_synthetic(FAST_SPEC).n_samples
         rep = run_pipeline(fast_config(convergence_index=n))
         assert rep.failures == ["no samples after the convergence marker"]
+
+    @pytest.mark.parametrize("past_end", [0, 500])
+    def test_failure_report_names_the_configured_marker(self, past_end):
+        marker = generate_synthetic(FAST_SPEC).n_samples + past_end
+        rep = run_pipeline(fast_config(convergence_index=marker))
+        assert not rep.ok
+        assert rep.convergence_index == marker
+        assert rep.scoring_start == marker + SCORING_GUARD_SAMPLES
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_degenerate_threshold_reported_once_without_python_warning(self, backend, tmp_path):
+        path = tmp_path / "flat.csv"
+        flat = {"thoracic": np.zeros(3000), "abdominal": np.zeros(3000)}
+        write_recording(Recording(flat, fs=1000.0), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_pipeline(RunConfig(input_path=str(path), fs=1000.0, backend=backend))
+        assert sum("degenerate detection threshold" in w for w in rep.warnings) == 1
 
 
 class TestCli:
@@ -342,6 +380,19 @@ class TestCli:
         assert err.startswith(f"error: {path}: channel 'abdominal' has a non-finite sample")
         assert err.rstrip().endswith("at index 100")
 
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_sample_float32_cannot_hold_exits_2(self, backend, tmp_path, capsys):
+        rec = generate_synthetic(SynthSpec(duration_s=0.5))
+        rec.channels["abdominal"][100] = 1e39
+        path = tmp_path / "rec.csv"
+        write_recording(rec, path)
+        rc = cli_main(["run", "--input", str(path), "--fs", "1000", "--backend", backend])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: channel 'abdominal' has a sample float32 cannot hold "
+            "(1e+39) at index 100\n"
+        )
+
     def test_fpu_subcommand_add(self, capsys):
         rc = cli_main(["fpu", "add", "3f800000", "3f800000"])
         assert rc == 0
@@ -382,3 +433,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["identical_outputs"]
         assert payload["summary"]["cycle_ratio"] == 39.0
+
+    @pytest.mark.parametrize("arch", ["series", "parallel"])
+    def test_compare_rejects_single_arch_flag(self, arch, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        rc = cli_main(["compare", "--synth", str(spec_path), "--arch", arch])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: compare runs both architectures")
+
+    @pytest.mark.parametrize("argv", [["--arch", "both"], ["--config", "CFG"]])
+    def test_compare_runs_with_arch_both_or_arch_from_config(self, argv, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"arch": "series"}))
+        argv = [{"CFG": str(cfg_path)}.get(a, a) for a in argv]
+        rc = cli_main(
+            ["compare", *argv, "--synth", str(spec_path), "--backend", "float64",
+             "--convergence-index", "2000"]
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["identical_outputs"]
