@@ -20,7 +20,6 @@ annotations and everything is a pure function of the spec and its seed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -330,7 +329,10 @@ def write_recording(rec: Recording, path: str | Path, format: str = "csv") -> No
 
 
 def load_annotations(path: str | Path, n_samples: int | None = None) -> dict[str, PeakSet]:
-    """Read ``<index>,<fetal|maternal>`` lines into ordered, deduplicated sets."""
+    """Read ``<index>,<fetal|maternal>`` lines into ordered, deduplicated sets.
+
+    A file with no entries gives two empty sets; the run report names it.
+    """
     path = Path(path)
     raw: dict[str, list[int]] = {"fetal": [], "maternal": []}
     with open(path, "r", encoding="utf-8") as fh:
@@ -363,8 +365,6 @@ def load_annotations(path: str | Path, n_samples: int | None = None) -> dict[str
                     f"{path}: {tag} indices out of range [0, {n_samples}): {bad[:5]}"
                 )
         out[tag] = PeakSet(deduped)
-    if not out["fetal"].locations and not out["maternal"].locations:
-        warnings.warn(f"{path}: annotation file contains no entries")
     return out
 
 

@@ -7,10 +7,12 @@ first), weights ``w``, step size ``mu`` and ``beta = 2*mu``:
     e = scale_d(d) - y
     w[k] += beta * e * scale(x[k])        (k ascending)
 
-:func:`lms_step` is the only implementation of that step: 5m + 3 backend
-operations (2m adds, one subtract, 3m + 2 multiplies) in one fixed order.
-The two datapath models run it unchanged and differ only in the
-:class:`Schedule` their :class:`CycleStats` are accounted from:
+:meth:`LmsState.update` is the only implementation of that step: 5m + 3
+value ops (2m adds, one subtract, 3m + 2 multiplies) in one fixed order.
+:func:`lms_step` runs it on one pair of backend-encoded samples, and
+:func:`run_canceller` runs it over whole channels, converting them between
+words and values once.  The two datapath models run it unchanged and differ
+only in the :class:`Schedule` their :class:`CycleStats` are accounted from:
 
 * :class:`SeriesDatapath` — one multiply-accumulate lane reused across
   ``2m + 1`` cycles per sample (few arithmetic units, long latency).
@@ -21,6 +23,7 @@ The two datapath models run it unchanged and differ only in the
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
@@ -104,11 +107,11 @@ class CycleStats:
     samples_processed: int = 0
     max_ops_per_cycle: int = 0
 
-    def tally(self, schedule: Schedule) -> None:
-        """Add one sample step run on ``schedule``."""
-        self.total_cycles += schedule.cycles
-        self.fpu_ops_issued += schedule.ops
-        self.samples_processed += 1
+    def tally(self, schedule: Schedule, samples: int = 1) -> None:
+        """Add ``samples`` sample steps run on ``schedule``."""
+        self.total_cycles += schedule.cycles * samples
+        self.fpu_ops_issued += schedule.ops * samples
+        self.samples_processed += samples
         if schedule.peak > self.max_ops_per_cycle:
             self.max_ops_per_cycle = schedule.peak
 
@@ -124,15 +127,45 @@ class CycleStats:
 
 
 class LmsState:
-    """Tap window and weight vector, plus the encoded constants."""
+    """Tap window and weight vector, held as values, plus the constants.
+
+    ``window`` and ``weights`` read as backend-encoded lists.
+    """
 
     def __init__(self, cfg: LmsConfig, backend):
         self.backend = backend
-        self.input_scale = backend.encode(quantized(cfg.input_scale))
-        self.desired_scale = backend.encode(quantized(cfg.desired_scale))
-        self.beta = backend.encode(quantized(cfg.beta))
-        self.window = [backend.zero] * cfg.order
-        self.weights = [backend.zero] * cfg.order
+        self.input_scale = quantized(cfg.input_scale)
+        self.desired_scale = quantized(cfg.desired_scale)
+        self.beta = quantized(cfg.beta)
+        m = cfg.order
+        self.window_values = [0.0] * m
+        self.weight_values = [0.0] * m
+        self.ops_per_step = {"add": 2 * m, "sub": 1, "mul": 3 * m + 2}
+
+    @property
+    def window(self) -> list:
+        return list(map(self.backend.encode, self.window_values))
+
+    @property
+    def weights(self) -> list:
+        return list(map(self.backend.encode, self.weight_values))
+
+    def update(self, x: float, d: float) -> tuple[float, float]:
+        """One-sample update on values; returns ``(e, y)``.
+
+        Every tap is scaled afresh each sample (m multiplies) rather than once
+        on entry, so the step issues exactly the 5m + 3 ops both schedules
+        account for.  The caller meters them (``ops_per_step``).
+        """
+        bk = self.backend
+        mul, add = bk.vmul, bk.vadd
+        window = self.window_values = [x] + self.window_values[:-1]
+        sx = list(map(mul, window, repeat(self.input_scale)))
+        y = reduce(add, map(mul, sx, self.weight_values), 0.0)
+        e = bk.vsub(mul(d, self.desired_scale), y)
+        be = mul(self.beta, e)
+        self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
+        return e, y
 
 
 def scale(backend, sample, factor):
@@ -141,22 +174,11 @@ def scale(backend, sample, factor):
 
 
 def lms_step(state: LmsState, x_new, d_new):
-    """One-sample update; returns ``(e, y)`` in backend encoding.
-
-    Every tap is scaled afresh each sample (m multiplies) rather than once on
-    entry, so the step issues exactly the 5m + 3 ops both schedules account
-    for.  The backend's methods are looked up on every call, so wrappers
-    installed on the backend instance see each op.
-    """
+    """One-sample update on backend-encoded samples; returns ``(e, y)`` encoded."""
     bk = state.backend
-    mul, add = bk.mul, bk.add
-    window = state.window = [x_new] + state.window[:-1]
-    sx = list(map(mul, window, repeat(state.input_scale)))
-    y = reduce(add, map(mul, sx, state.weights), bk.zero)
-    e = bk.sub(mul(d_new, state.desired_scale), y)
-    be = mul(state.beta, e)
-    state.weights = list(map(add, state.weights, map(mul, repeat(be), sx)))
-    return e, y
+    e, y = state.update(bk.decode(x_new), bk.decode(d_new))
+    bk.ops.tally(1, **state.ops_per_step)
+    return bk.encode(e), bk.encode(y)
 
 
 class _Datapath:
@@ -215,20 +237,30 @@ def choose_scale_factor(samples: np.ndarray, target: float = 16.0) -> float:
 def run_canceller(datapath, x_samples, d_samples):
     """Drive a datapath over full channels; returns (e_words, first_flag_index).
 
-    ``x_samples``/``d_samples`` are backend-encoded sequences.
+    ``x_samples``/``d_samples`` are backend-encoded sequences, converted to
+    values once for :meth:`LmsState.update`; its errors are converted back
+    to words once.
     ``first_flag_index`` is the first sample whose step raised a
     saturation/flush flag, or None.  The backend's flag totals at entry are
     the reference, so flags raised by earlier stages sharing the backend are
     not blamed on the canceller.
     """
-    flags = datapath.state.backend.flags
+    state = datapath.state
+    bk = state.backend
+    flags = bk.flags
     entry_total = flags.overflow + flags.underflow
     first_flag = None
-    errors = []
-    step = datapath.step
-    for i, (x, d) in enumerate(zip(x_samples, d_samples)):
-        e, _ = step(x, d)
-        errors.append(e)
+    update = state.update
+    x_values, d_values = bk.to_values(x_samples), bk.to_values(d_samples)
+    n = min(len(x_values), len(d_values))
+    errors = array("d")
+    append = errors.append
+    for i, x, d in zip(range(n), memoryview(x_values), memoryview(d_values)):
+        append(update(x, d)[0])
         if first_flag is None and flags.overflow + flags.underflow > entry_total:
             first_flag = i
-    return errors, first_flag
+    del x_values, d_values
+    words = bk.to_words(errors)
+    bk.ops.tally(n, **state.ops_per_step)
+    datapath.stats.tally(datapath.schedule, n)
+    return words, first_flag

@@ -1,100 +1,83 @@
 """Numeric backends shared by the streaming pipeline stages.
 
 Every filter/datapath in this package is written once and parameterized by a
-backend: the soft-float32 backend routes each operation through the bit-level
-unit in :mod:`fhrmon.fpu` (the hardware-faithful mode), while the float64
-backend runs the identical algorithm in native double precision.  The second
-path exists so tests can bound the truncation drift of the first.
+backend: the soft-float32 backend reproduces the bit-level unit in
+:mod:`fhrmon.fpu` (the hardware-faithful mode), while the float64 backend
+runs the identical algorithm in native double precision.  The second path
+exists so tests can bound the truncation drift of the first.
 
-Values are opaque to the algorithms: integer words on the soft path, plain
-floats on the reference path.  ``encode``/``decode`` convert at the edges.
+Each backend offers three forms of add/sub/mul:
 
-The soft backend's add/sub/mul first try a word-in/word-out fast path that
-covers normal operands with a normal result, the bulk of every pipeline
-stage.  Any other case (a zero operand, an exponent leaving [1, 254], an
-operand that is not a normal 32-bit word) goes to the unchanged ``fpu_*``
-function, so saturation/flush flags and ``OperandError`` messages come from
-:mod:`fhrmon.fpu` itself, which stays the bit-level oracle for both paths.
+* word methods ``add``/``sub``/``mul`` (and ``gt``/``lt``) on backend
+  encodings: integer words on the soft path, plain floats on the reference
+  path.  ``encode``/``decode`` convert single values at the edges.
+* scalar value ops ``vadd``/``vsub``/``vmul`` on Python floats.  On the soft
+  path a float32 is carried as the exact double that holds it: a product is
+  exact in a double and is truncated to 24 bits; a sum is rounded, and its
+  exact residual (TwoSum) says whether the truncated sum is one step lower.
+* bulk ops ``bulk_add``/``bulk_sub``/``bulk_mul`` on numpy arrays, elementwise
+  and bit-identical to the scalar value ops.
+
+Whole streams cross between words and values with ``to_values``/``to_words``
+and enter from raw samples through ``ingest``.  On the soft path, any result
+outside the normal range [2^-126, max normal], and any operand word that is
+not a normal number, goes to the unchanged ``fpu_*`` function for that
+element alone, so saturation/flush flags and ``OperandError`` messages come
+from :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
+
+Each backend owns an op meter, ``ops``: executed operations by method name
+(``gt`` and ``lt`` are the comparisons).  A word method adds 1 per call, a
+bulk op adds its element count, and a stage kernel adds the ops of its loop
+body once per iteration through :meth:`OpMeter.tally`; scalar value ops do
+not count themselves.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from collections import deque
+from math import copysign, ulp
+
+import numpy as np
 
 from . import fpu
-from .fpu import EXP_MASK, FRAC_MASK, IMPLICIT_BIT, SIGN_MASK, CmpCode, FpuFlags
+from .fpu import CmpCode, FpuFlags
 
-# Sign-and-exponent field (word >> 23) of every normal word -> exponent - 1.
-# A missing key is a zero, subnormal, inf/NaN or an int outside 32 bits.
-_EXP_LESS_ONE = {h: (h & 0xFF) - 1 for h in range(512) if 0 < h & 0xFF < 255}
+OP_NAMES = ("add", "sub", "mul", "gt", "lt")
 
+# Sign-and-exponent fields (word >> 23) of the nonzero normal 32-bit words;
+# only those operands take the value path in the soft word methods.
+_NORMAL_FIELDS = frozenset(h for h in range(512) if 0 < h & 0xFF < 255)
 
-def _add_word(a: int, b: int) -> int | None:
-    """``fpu_add(a, b)`` for normal operands with a normal result, else None.
-
-    Signed mantissas are aligned at the smaller exponent (exact, like
-    ``fpu_add``), summed, and the sum truncated to 24 bits once.
-    """
-    try:
-        ea = _EXP_LESS_ONE[a >> 23]
-        eb = _EXP_LESS_ONE[b >> 23]
-    except KeyError:
-        return None
-    ma = a & FRAC_MASK | IMPLICIT_BIT
-    if a & SIGN_MASK:
-        ma = -ma
-    mb = b & FRAC_MASK | IMPLICIT_BIT
-    if b & SIGN_MASK:
-        mb = -mb
-    if ea >= eb:
-        s = (ma << ea - eb) + mb
-        base = eb
-    else:
-        s = ma + (mb << eb - ea)
-        base = ea
-    if s > 0:
-        sign = 0
-    elif s:
-        sign = SIGN_MASK
-        s = -s
-    else:
-        return 0  # exact cancellation gives +0
-    shift = s.bit_length() - 24
-    # (exponent - 1) << 23 plus the 24-bit mantissa, whose top bit carries
-    # into the exponent field, packs the sign-less word; it is a normal
-    # number iff it lies in [IMPLICIT_BIT, EXP_MASK).
-    word = (base + shift << 23) + (s >> shift if shift >= 0 else s << -shift)
-    if IMPLICIT_BIT <= word < EXP_MASK:
-        return sign | word
-    return None
+_MIN_NORMAL = 2.0**-126
+_MAX_NORMAL = fpu.decode(fpu.MAX_NORMAL_MAG)
+_OVERFLOW = 2.0**128  # an exact result this large saturates
+_SPLIT = 2.0**29 + 1  # Veltkamp: t = x * _SPLIT; t - (t - x) is x rounded to 24 bits
+_ULP24 = 2.0**29  # math.ulp(x) * _ULP24: float32 spacing in the binade of x
+_POW2_ULP24 = 2.0**-23  # the float32 spacing at x is x * this iff x is a power of two
+_LOW29 = np.uint64((1 << 29) - 1)  # double fraction bits below a float32's 23
+_STEP24 = np.uint64(1 << 29)  # one float32 step, on a double's bit pattern
 
 
-def _mul_word(a: int, b: int) -> int | None:
-    """``fpu_mul(a, b)`` for normal operands with a normal result, else None.
+class OpMeter(dict):
+    """Executed backend operations, by method name; starts at zero."""
 
-    The 24x24-bit mantissa product has 47 or 48 bits; its top 24 are kept.
-    """
-    try:
-        e = _EXP_LESS_ONE[a >> 23] + _EXP_LESS_ONE[b >> 23]
-    except KeyError:
-        return None
-    p = (a & FRAC_MASK | IMPLICIT_BIT) * (b & FRAC_MASK | IMPLICIT_BIT)
-    # e = ea + eb - 2; the result's exponent less one, ea + eb - 128, is one
-    # higher when the product reaches bit 47.  Packed as in _add_word.
-    if p >> 47:
-        word = (e - 125 << 23) + (p >> 24)
-    else:
-        word = (e - 126 << 23) + (p >> 23)
-    if IMPLICIT_BIT <= word < EXP_MASK:
-        return (a ^ b) & SIGN_MASK | word
-    return None
+    def __init__(self):
+        super().__init__(dict.fromkeys(OP_NAMES, 0))
+
+    def tally(self, iterations: int, **ops_per_iteration: int) -> None:
+        """Add a loop of ``iterations`` runs, each issuing ``ops_per_iteration``."""
+        for name, count in ops_per_iteration.items():
+            self[name] += iterations * count
 
 
 class SoftF32Backend:
-    """Bit-level float32 arithmetic with an owned flag accumulator.
+    """Bit-level float32 arithmetic with an owned flag accumulator and op meter.
 
     ``add``/``sub``/``mul`` return exactly what ``fpu_add``/``fpu_sub``/
-    ``fpu_mul`` return for the same words, raise the same flags and errors.
+    ``fpu_mul`` return for the same words, raise the same flags and errors;
+    the value and bulk ops do the same on the values of those words.
     """
 
     name = "soft"
@@ -102,7 +85,12 @@ class SoftF32Backend:
     def __init__(self, cmp_mode: str = "corrected"):
         self.cmp_mode = cmp_mode
         self.flags = FpuFlags()
+        self.ops = OpMeter()
         self.zero = fpu.ZERO_POS
+        # Two words, also viewed as the two float32 values they hold: operands
+        # cross between words and values here, one op at a time.
+        self._words = array("I", [0, 0])
+        self._values = memoryview(self._words).cast("B").cast("f")
 
     def encode(self, value: float) -> int:
         return fpu.encode(value)
@@ -110,25 +98,159 @@ class SoftF32Backend:
     def decode(self, word: int) -> float:
         return fpu.decode(word)
 
+    # -- word methods: adapters over the value ops ------------------------
+
     def add(self, a: int, b: int) -> int:
-        word = _add_word(a, b)
-        return fpu.fpu_add(a, b, self.flags) if word is None else word
+        self.ops["add"] += 1
+        if a >> 23 in _NORMAL_FIELDS and b >> 23 in _NORMAL_FIELDS:
+            return self._word_op(self.vadd, a, b)
+        return fpu.fpu_add(a, b, self.flags)
 
     def sub(self, a: int, b: int) -> int:
-        # a - b is a + (-b) bit for bit; the fallback keeps fpu_sub's flags
-        # and its OperandError naming the word the caller passed.
-        word = _add_word(a, b ^ SIGN_MASK)
-        return fpu.fpu_sub(a, b, self.flags) if word is None else word
+        self.ops["sub"] += 1
+        if a >> 23 in _NORMAL_FIELDS and b >> 23 in _NORMAL_FIELDS:
+            return self._word_op(self.vsub, a, b)
+        return fpu.fpu_sub(a, b, self.flags)
 
     def mul(self, a: int, b: int) -> int:
-        word = _mul_word(a, b)
-        return fpu.fpu_mul(a, b, self.flags) if word is None else word
+        self.ops["mul"] += 1
+        if a >> 23 in _NORMAL_FIELDS and b >> 23 in _NORMAL_FIELDS:
+            return self._word_op(self.vmul, a, b)
+        return fpu.fpu_mul(a, b, self.flags)
+
+    def _word_op(self, op, a: int, b: int) -> int:
+        """A value op on two 32-bit words, returning the result's word."""
+        words, values = self._words, self._values
+        words[0] = a
+        words[1] = b
+        values[0] = op(values[0], values[1])
+        return words[0]
 
     def gt(self, a: int, b: int) -> bool:
+        self.ops["gt"] += 1
         return fpu.fpu_cmp(a, b, self.cmp_mode) is CmpCode.GREATER
 
     def lt(self, a: int, b: int) -> bool:
+        self.ops["lt"] += 1
         return fpu.fpu_cmp(a, b, self.cmp_mode) is CmpCode.LESS
+
+    # -- scalar value ops ---------------------------------------------------
+
+    def vadd(self, a: float, b: float) -> float:
+        """``fpu_add`` on float32 values."""
+        s = a + b
+        if _MIN_NORMAL <= abs(s) < _OVERFLOW:
+            t = s * _SPLIT
+            h = t - (t - s)
+            if h != s:
+                # s is off the float32 grid, so the exact sum lies between the
+                # same two neighbours: truncate s.
+                if (s - h) * s > 0:
+                    return h
+                return h - copysign(ulp(s) * _ULP24, s)
+            z = s - a
+            if ((a - (s - z)) + (b - z)) * s >= 0:
+                return s  # exact, or rounded toward zero
+            # Rounded away from zero onto the grid: step one float32 inward,
+            # a half step below a power of two.
+            u = ulp(s) * _ULP24
+            if u == abs(s) * _POW2_ULP24:
+                u *= 0.5
+            return s - copysign(u, s)
+        if not s:
+            return s  # an exact zero takes IEEE's sign, as fpu_add does
+        return self._oracle(fpu.fpu_add, a, b)
+
+    def vsub(self, a: float, b: float) -> float:
+        """``fpu_sub`` on float32 values: the add on ``b`` negated."""
+        return self.vadd(a, -b)
+
+    def vmul(self, a: float, b: float) -> float:
+        """``fpu_mul`` on float32 values."""
+        p = a * b  # exact: 24 x 24 mantissa bits fit in 53
+        if _MIN_NORMAL <= abs(p) < _OVERFLOW:
+            t = p * _SPLIT
+            h = t - (t - p)
+            if (p - h) * p >= 0:
+                return h
+            return h - copysign(ulp(p) * _ULP24, p)
+        if not p:
+            return p  # a zero operand: the XOR of the signs, as fpu_mul gives
+        return self._oracle(fpu.fpu_mul, a, b)
+
+    def _oracle(self, op, a: float, b: float) -> float:
+        """``op`` on the words of two values, raising this backend's flags."""
+        words, values = self._words, self._values
+        values[0] = a
+        values[1] = b
+        words[0] = op(words[0], words[1], self.flags)
+        return values[0]
+
+    # -- bulk ops -------------------------------------------------------------
+
+    def bulk_add(self, a, b) -> np.ndarray:
+        """``vadd`` elementwise; either operand may be a scalar."""
+        return self._bulk_sum("add", a, b)
+
+    def bulk_sub(self, a, b) -> np.ndarray:
+        """``vsub`` elementwise."""
+        return self._bulk_sum("sub", a, np.negative(b))
+
+    def bulk_mul(self, a, b) -> np.ndarray:
+        """``vmul`` elementwise; either operand may be a scalar."""
+        p = np.multiply(a, b)
+        bits = p.view(np.uint64)
+        bits &= ~_LOW29
+        return self._bulk_checked("mul", p, fpu.fpu_mul, a, b)
+
+    def _bulk_sum(self, name: str, a, b) -> np.ndarray:
+        s = np.add(a, b)
+        z = s - a
+        err = (a - (s - z)) + (b - z)  # TwoSum: exactly a + b - s
+        bits = s.view(np.uint64)
+        on_grid = (bits & _LOW29) == 0
+        bits &= ~_LOW29
+        # On the grid with the residual pointing inward: one float32 lower.
+        bits[on_grid & (err != 0) & (np.signbit(err) != np.signbit(s))] -= _STEP24
+        return self._bulk_checked(name, s, fpu.fpu_add, a, b)
+
+    def _bulk_checked(self, name: str, out: np.ndarray, op, a, b) -> np.ndarray:
+        """Redo through ``op`` every element that left the normal range."""
+        self.ops[name] += out.size
+        mag = np.abs(out)
+        bad = np.flatnonzero((mag > _MAX_NORMAL) | ((mag < _MIN_NORMAL) & (mag != 0)))
+        if len(bad):
+            a, b = np.broadcast_arrays(a, b)
+            for i in bad.tolist():
+                out[i] = self._oracle(op, float(a[i]), float(b[i]))
+        return out
+
+    # -- whole streams --------------------------------------------------------
+
+    def ingest(self, samples) -> np.ndarray:
+        """Samples as float32 values: ``encode`` then ``decode``, for a whole stream."""
+        x = np.asarray(samples, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            f = x.astype(np.float32)
+        if not np.isfinite(f).all():
+            self.encode(float(x[np.flatnonzero(~np.isfinite(f))[0]]))  # raises its error
+        f[np.abs(f) < np.float32(_MIN_NORMAL)] *= 0  # flush subnormals, keeping the sign
+        return f.astype(np.float64)
+
+    def to_values(self, words) -> np.ndarray:
+        """Exact values of a stream of words, each checked as an operand."""
+        w = np.asarray(words, dtype=np.uint32)
+        exponent = w & fpu.EXP_MASK
+        subnormal = (exponent == 0) & (w & fpu.FRAC_MASK != 0)
+        bad = np.flatnonzero((exponent == fpu.EXP_MASK) | subnormal)
+        if len(bad):
+            fpu._check_operand(int(w[bad[0]]))  # raises its OperandError
+        return w.view(np.float32).astype(np.float64)
+
+    @staticmethod
+    def to_words(values) -> list:
+        """Words of a stream of float32 values."""
+        return np.asarray(values, dtype=np.float64).astype(np.float32).view(np.uint32).tolist()
 
 
 class Float64Backend:
@@ -136,8 +258,13 @@ class Float64Backend:
 
     name = "float64"
 
+    vadd = staticmethod(operator.add)
+    vsub = staticmethod(operator.sub)
+    vmul = staticmethod(operator.mul)
+
     def __init__(self):
         self.flags = FpuFlags()
+        self.ops = OpMeter()
         self.zero = 0.0
 
     def encode(self, value: float) -> float:
@@ -146,25 +273,50 @@ class Float64Backend:
     def decode(self, value: float) -> float:
         return value
 
-    @staticmethod
-    def add(a: float, b: float) -> float:
+    def add(self, a: float, b: float) -> float:
+        self.ops["add"] += 1
         return a + b
 
-    @staticmethod
-    def sub(a: float, b: float) -> float:
+    def sub(self, a: float, b: float) -> float:
+        self.ops["sub"] += 1
         return a - b
 
-    @staticmethod
-    def mul(a: float, b: float) -> float:
+    def mul(self, a: float, b: float) -> float:
+        self.ops["mul"] += 1
         return a * b
 
-    @staticmethod
-    def gt(a: float, b: float) -> bool:
+    def gt(self, a: float, b: float) -> bool:
+        self.ops["gt"] += 1
         return a > b
 
-    @staticmethod
-    def lt(a: float, b: float) -> bool:
+    def lt(self, a: float, b: float) -> bool:
+        self.ops["lt"] += 1
         return a < b
+
+    def bulk_add(self, a, b) -> np.ndarray:
+        out = np.add(a, b)
+        self.ops["add"] += out.size
+        return out
+
+    def bulk_sub(self, a, b) -> np.ndarray:
+        out = np.subtract(a, b)
+        self.ops["sub"] += out.size
+        return out
+
+    def bulk_mul(self, a, b) -> np.ndarray:
+        out = np.multiply(a, b)
+        self.ops["mul"] += out.size
+        return out
+
+    @staticmethod
+    def to_values(values) -> np.ndarray:
+        return np.asarray(values, dtype=np.float64)
+
+    ingest = to_values
+
+    @staticmethod
+    def to_words(values) -> list:
+        return np.asarray(values, dtype=np.float64).tolist()
 
 
 def make_backend(name: str, cmp_mode: str = "corrected"):
@@ -207,3 +359,22 @@ class RunningMean:
         self.mean = bk.sub(bk.add(self.mean, scaled), self.ring[0])
         self.ring.append(scaled)  # full ring: drops ring[0]
         return self.mean
+
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`step` over a whole stream of values, returning the means."""
+        bk = self.backend
+        vadd, vsub = bk.vadd, bk.vsub
+        window = self.ring.maxlen
+        scaled = bk.bulk_mul(values, bk.decode(self._inv))
+        # Sample k evicts element k of the ring followed by the scaled stream.
+        queue = np.concatenate([bk.to_values(list(self.ring)), scaled])
+        mean = bk.decode(self.mean)
+        means = array("d")
+        append = means.append
+        for new, old in zip(memoryview(scaled), memoryview(queue)):
+            mean = vsub(vadd(mean, new), old)
+            append(mean)
+        bk.ops.tally(len(scaled), add=1, sub=1)
+        self.ring.extend(bk.to_words(queue[-window:]))
+        self.mean = bk.encode(mean)
+        return np.frombuffer(means, dtype=np.float64)

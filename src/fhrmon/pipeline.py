@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import fhr, fpu, lms
 from .io import Recording, SynthSpec, generate_synthetic, load_annotations, load_recording
 from .numeric import make_backend
@@ -213,13 +211,8 @@ def preprocess_front_end(cfg: RunConfig, rec: Recording, backend) -> FrontEnd:
     abdominal_pp = chain_a.process(rec.channel(cfg.abdominal))
     warmup = chain_t.warmup_samples
 
-    dec = backend.decode
-    scale_x = lms.choose_scale_factor(
-        np.array([dec(w) for w in thoracic_pp[warmup:]]), cfg.scale_target
-    )
-    scale_d = lms.choose_scale_factor(
-        np.array([dec(w) for w in abdominal_pp[warmup:]]), cfg.scale_target
-    )
+    scale_x = lms.choose_scale_factor(backend.to_values(thoracic_pp[warmup:]), cfg.scale_target)
+    scale_d = lms.choose_scale_factor(backend.to_values(abdominal_pp[warmup:]), cfg.scale_target)
     return FrontEnd(thoracic_pp, abdominal_pp, scale_x, scale_d)
 
 
@@ -253,6 +246,8 @@ def execute(
         datapath, front_end.thoracic_pp, front_end.abdominal_pp
     )
     warnings = []
+    if cfg.annotations_path and rec.annotations is not None and not any(rec.annotations.values()):
+        warnings.append(f"{cfg.annotations_path}: annotation file contains no entries")
     if first_flag is not None:
         warnings.append(f"arithmetic saturation/flush first raised at sample {first_flag}")
 

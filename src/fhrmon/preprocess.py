@@ -17,9 +17,22 @@ Three one-sample-in/one-sample-out stages, applied in this fixed order:
 All state starts at zero.  Each stage runs on a numeric backend (soft float32
 or float64 reference), with coefficients quantized to float32 once so both
 backends share the exact same constants.
+
+Every stage has two forms with the same op order: ``step`` consumes one
+backend-encoded sample (the word-level reference), and ``run`` consumes a
+whole stream of values.  :meth:`PreprocessChain.process` runs stage-major
+over blocks of the channel: each stage's feed-forward terms as bulk ops over
+the block, its recursion as a scalar loop of value ops, then the next stage.
+Each form leaves the stage's state as the other would, held as backend words.
 """
 
 from __future__ import annotations
+
+from array import array
+from collections import deque
+from functools import reduce
+
+import numpy as np
 
 from .numeric import RunningMean, quantized
 
@@ -33,6 +46,11 @@ NOTCH_INPUT_COEFFS = (0.99405, -1.31278, 0.99405)
 NOTCH_OUTPUT_COEFFS = (1.31272, -0.98804)
 
 BASELINE_WINDOW = 200  # samples per moving-average stage
+
+# Samples per stage-major pass of PreprocessChain.process.  Its numpy
+# temporaries (32 KiB at this size) are then reused block after block;
+# whole-channel ones fragment the heap and raise peak RSS by about 1 MB.
+STREAM_BLOCK = 4096
 
 
 class IirFilter:
@@ -63,6 +81,32 @@ class IirFilter:
             self.input_history = [sample] + self.input_history[:-1]
         self.output_history = [acc] + self.output_history[:-1]
         return acc
+
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`step` over a whole stream of values, returning the outputs."""
+        bk = self.backend
+        vadd, vmul = bk.vadd, bk.vmul
+        dec = bk.decode
+        n_in = self._n_in
+        # Input terms, as bulk ops; x[k - j] for j > k comes from the history.
+        acc = bk.bulk_mul(dec(self.input_coeffs[0]), values)
+        if n_in:
+            past = np.concatenate([bk.to_values(self.input_history[::-1]), values])
+            for j, coeff in enumerate(self.input_coeffs[1:], 1):
+                acc = bk.bulk_add(acc, bk.bulk_mul(dec(coeff), past[n_in - j : len(past) - j]))
+            self.input_history = bk.to_words(past[: -n_in - 1 : -1])
+        # Output terms, a recursion: one scalar pass, newest output first.
+        coeffs = [dec(c) for c in self.output_coeffs]
+        history = deque(bk.to_values(self.output_history).tolist(), maxlen=self._n_out)
+        out = array("d")
+        append, push = out.append, history.appendleft
+        for a in memoryview(acc):
+            a = reduce(vadd, map(vmul, coeffs, history), a)
+            push(a)
+            append(a)
+        bk.ops.tally(len(acc), add=self._n_out, mul=self._n_out)
+        self.output_history = bk.to_words(list(history))
+        return np.frombuffer(out, dtype=np.float64)
 
     def frequency_response(self, freq_hz: float, fs: float) -> complex:
         """Transfer function H(e^{jw}) evaluated from the quantized constants."""
@@ -105,6 +149,11 @@ class MovingAverageBaseline:
         baseline = self.mean2.step(self.mean1.step(sample))
         return baseline, self.backend.sub(sample, baseline)
 
+    def run(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`step` over a whole stream of values: ``(baselines, corrected)``."""
+        baseline = self.mean2.run(self.mean1.run(values))
+        return baseline, self.backend.bulk_sub(values, baseline)
+
 
 class PreprocessChain:
     """Low-pass -> notch -> baseline removal, one sample per step."""
@@ -126,8 +175,16 @@ class PreprocessChain:
         return corrected
 
     def process(self, samples) -> list:
-        """Run a whole channel through the chain (backend-encoded values)."""
+        """Run a whole channel through the chain, stage by stage per block.
+
+        Takes raw samples and returns backend-encoded outputs, word for word
+        what :meth:`step` gives on each encoded sample in turn.
+        """
         bk = self.backend
-        encode = bk.encode
-        step = self.step
-        return [step(encode(float(x))) for x in samples]
+        samples = np.asarray(samples, dtype=np.float64)
+        words = []
+        for start in range(0, len(samples), STREAM_BLOCK):
+            values = bk.ingest(samples[start : start + STREAM_BLOCK])
+            values = self.notch.run(self.lowpass.run(values))
+            words += bk.to_words(self.baseline.run(values)[1])
+        return words

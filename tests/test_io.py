@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,12 +166,13 @@ class TestAnnotations:
         assert back["fetal"].locations == [100, 529, 958]
         assert back["maternal"].locations == [50, 700]
 
-    def test_empty_file_warns(self, tmp_path):
+    def test_empty_file_gives_empty_sets_without_warning(self, tmp_path):
         path = tmp_path / "ann.txt"
         path.write_text("")
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = load_annotations(path)
-        assert len(out["fetal"]) == 0
+        assert len(out["fetal"]) == 0 and len(out["maternal"]) == 0
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "ann.txt"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fhrmon import lms
+from fhrmon import fpu, lms
 from fhrmon.lms import (
     CycleStats,
     LmsConfig,
@@ -241,3 +241,56 @@ class TestConvergence:
         er_d = np.array(er)
         rel = np.sqrt(np.mean((es_d - er_d) ** 2)) / np.sqrt(np.mean(er_d**2))
         assert rel < 1e-3
+
+
+class TestCancellerKernel:
+    """``run_canceller`` against a loop of ``_Datapath.step``."""
+
+    @staticmethod
+    def inputs(case, bk):
+        if case == "saturating":
+            # test_saturation_reported_with_sample_index's input
+            rng = np.random.default_rng(2)
+            cfg = LmsConfig(order=4, step_size=10.0)
+            x, d = rng.uniform(-2, 2, 500), rng.uniform(-2, 2, 500)
+        else:
+            rng = np.random.default_rng(17)
+            cfg = LmsConfig(order=19, input_scale=2.0, desired_scale=4.0)
+            x, d = rng.uniform(-2, 2, 5000), rng.uniform(-2, 2, 5000)
+        return cfg, [bk.encode(float(v)) for v in x], [bk.encode(float(v)) for v in d]
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize("case", ["stable", "saturating"])
+    @pytest.mark.parametrize("datapath", [SeriesDatapath, ParallelDatapath])
+    def test_matches_step_loop(self, backend, case, datapath):
+        bk_run, bk_step = make_backend(backend), make_backend(backend)
+        cfg, xw, dw = self.inputs(case, bk_run)
+        run_dp, step_dp = datapath(cfg, bk_run), datapath(cfg, bk_step)
+        errors, first_flag = lms.run_canceller(run_dp, xw, dw)
+        want, want_first = [], None
+        for i, (x, d) in enumerate(zip(xw, dw)):
+            want.append(step_dp.step(x, d)[0])
+            if want_first is None and bk_step.flags.any():
+                want_first = i
+        # float64 words diverge to NaN on the saturating input; NaN == NaN here
+        np.testing.assert_array_equal(np.array(errors), np.array(want))
+        assert first_flag == want_first
+        assert bk_run.flags == bk_step.flags
+        assert bk_run.ops == bk_step.ops
+        assert run_dp.stats.to_dict() == step_dp.stats.to_dict()
+        np.testing.assert_array_equal(run_dp.state.weights, step_dp.state.weights)
+        if backend == "soft" and case == "saturating":
+            assert first_flag is not None
+
+    @pytest.mark.parametrize("bad", [0x7F800000, 0xFFC00000, 0x00000001])
+    def test_operand_error_matches_step(self, bad):
+        bk = make_backend("soft")
+        xw = [bk.encode(0.5), bk.encode(-0.25), bad]
+        dw = [bk.encode(0.125)] * 3
+        with pytest.raises(fpu.OperandError) as raised:
+            lms.run_canceller(ParallelDatapath(LmsConfig(order=2), bk), xw, dw)
+        dp = ParallelDatapath(LmsConfig(order=2), make_backend("soft"))
+        with pytest.raises(fpu.OperandError) as want:
+            for x, d in zip(xw, dw):
+                dp.step(x, d)
+        assert str(raised.value) == str(want.value)

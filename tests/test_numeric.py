@@ -12,9 +12,11 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhrmon import fhr, lms
-from fhrmon.fpu import FpuFlags, OperandError, fpu_add, fpu_mul, fpu_sub, join
+from fhrmon.fpu import FRAC_MASK, FpuFlags, OperandError, fpu_add, fpu_mul, fpu_sub, join
 from fhrmon.io import SynthSpec, generate_synthetic
 from fhrmon.numeric import SoftF32Backend
 from fhrmon.preprocess import PreprocessChain
@@ -128,20 +130,154 @@ class TestSoftBackendDifferential:
         _assert_matches_oracle(pairs)
 
 
+def _assert_value_ops_match_oracle(pairs):
+    """Scalar and bulk value ops on the values of normal-or-zero word pairs.
+
+    Per pair the scalar op gives the oracle's word and raises its flags; the
+    bulk op over all pairs gives the same words and flag totals.
+    """
+    a_words = [a for a, _ in pairs]
+    b_words = [b for _, b in pairs]
+    for name, oracle in ORACLES.items():
+        ref_flags = FpuFlags()
+        scalar = SoftF32Backend()
+        vop = getattr(scalar, f"v{name}")
+        a_vals, b_vals = scalar.to_values(a_words).tolist(), scalar.to_values(b_words).tolist()
+        want = []
+        for a, b, x, y in zip(a_words, b_words, a_vals, b_vals):
+            want.append(oracle(a, b, ref_flags))
+            assert scalar.to_words([vop(x, y)]) == want[-1:], f"v{name}({a:#010x}, {b:#010x})"
+            assert scalar.flags == ref_flags, f"v{name}({a:#010x}, {b:#010x}) flags"
+        bulk = SoftF32Backend()
+        out = getattr(bulk, f"bulk_{name}")(bulk.to_values(a_words), bulk.to_values(b_words))
+        assert bulk.to_words(out) == want, f"bulk_{name}"
+        assert bulk.flags == ref_flags, f"bulk_{name} flags"
+        assert bulk.ops[name] == len(pairs)
+
+
+def _near_cancellation_pairs():
+    rng = np.random.default_rng(5)
+    n = 4000
+    a = _words(rng.integers(0, 2, n), rng.integers(2, 254, n), rng.integers(16, (1 << 23) - 16, n))
+    nudge = rng.integers(-8, 9, n)
+    lower = join(0, 126, 0x7FFFFF)
+    return (
+        _pairs(a, (a ^ SIGN) + nudge)
+        + _pairs(a, a + nudge)
+        + [(0x3F800000, lower ^ SIGN), (0x3F800000, lower), (SIGN | 0x3F800000, lower)]
+    )
+
+
+def _exponent_gap_pairs():
+    rng = np.random.default_rng(6)
+    n = 4000
+    gap = rng.integers(20, 41, n)
+    ea = rng.integers(41, 255, n)
+    a = _words(rng.integers(0, 2, n), ea, rng.integers(0, 1 << 23, n))
+    b = _words(rng.integers(0, 2, n), ea - gap, rng.integers(0, 1 << 23, n))
+    p = _words(rng.integers(0, 2, n), ea, 0)
+    return _pairs(a, b) + _pairs(b, a) + _pairs(p, b) + _pairs(b, p)
+
+
+def _exponent_limit_pairs():
+    rng = np.random.default_rng(7)
+    n = 2000
+    edge = rng.choice([1, 2, 253, 254], n)
+    a = _words(rng.integers(0, 2, n), edge, rng.integers(0, 1 << 23, n))
+    b_big = _words(rng.integers(0, 2, n), rng.integers(120, 255, n), rng.integers(0, 1 << 23, n))
+    b_small = _words(rng.integers(0, 2, n), rng.integers(1, 135, n), rng.integers(0, 1 << 23, n))
+    b_edge = _words(rng.integers(0, 2, n), edge, rng.integers(0, 1 << 23, n))
+    return _pairs(a, b_big) + _pairs(a, b_small) + _pairs(a, b_edge) + _pairs(b_edge, a)
+
+
+class TestValueOpsDifferential:
+    """The scalar and bulk value ops against ``fpu_*`` on the same data sets."""
+
+    def test_million_pairs_match_fpu(self):
+        # criterion 1's seeded pairs
+        rng = np.random.default_rng(20240601)
+        n = 1_000_000
+        a = random_normal_words(rng, n)
+        b = random_normal_words(rng, n)
+        for name, oracle in ORACLES.items():
+            ref_flags = FpuFlags()
+            want = list(map(oracle, a.tolist(), b.tolist(), repeat(ref_flags)))
+            scalar, bulk = SoftF32Backend(), SoftF32Backend()
+            a_vals, b_vals = scalar.to_values(a), scalar.to_values(b)
+            got = list(map(getattr(scalar, f"v{name}"), a_vals.tolist(), b_vals.tolist()))
+            assert scalar.to_words(got) == want, f"v{name}"
+            assert scalar.flags == ref_flags, f"v{name}"
+            out = getattr(bulk, f"bulk_{name}")(a_vals, b_vals)
+            assert bulk.to_words(out) == want, f"bulk_{name}"
+            assert bulk.flags == ref_flags, f"bulk_{name}"
+            assert ref_flags.overflow and ref_flags.underflow
+
+    def test_signed_zeros(self):
+        others = [0x00000000, SIGN, 0x3F800000, 0xBF800000, join(0, 1, 0), join(1, 254, 0x7FFFFF)]
+        pairs = [(z, w) for z in (0x00000000, SIGN) for w in others]
+        _assert_value_ops_match_oracle(pairs + [(w, z) for z, w in pairs])
+
+    def test_near_cancellation(self):
+        _assert_value_ops_match_oracle(_near_cancellation_pairs())
+
+    def test_exponent_gaps_20_to_40(self):
+        _assert_value_ops_match_oracle(_exponent_gap_pairs())
+
+    def test_overflow_and_underflow_at_exponent_limits(self):
+        pairs = _exponent_limit_pairs()
+        _assert_value_ops_match_oracle(pairs)
+        flags = FpuFlags()
+        for a, b in pairs:
+            fpu_add(a, b, flags)
+            fpu_mul(a, b, flags)
+        assert flags.overflow and flags.underflow
+
+    def test_bulk_ops_broadcast_a_scalar_operand(self):
+        rng = np.random.default_rng(8)
+        words = random_normal_words(rng, 3000)
+        backend = SoftF32Backend()
+        values = backend.to_values(words)
+        coeff = backend.decode(0xBFA80A3E)  # a negative filter coefficient
+        for name, oracle in ORACLES.items():
+            ref_flags = FpuFlags()
+            want = [oracle(0xBFA80A3E, w, ref_flags) for w in words.tolist()]
+            assert backend.to_words(getattr(backend, f"bulk_{name}")(coeff, values)) == want
+            assert backend.flags == ref_flags
+            backend.flags = FpuFlags()
+
+    def test_stream_conversion_rejects_operands_fpu_rejects(self):
+        backend = SoftF32Backend()
+        for bad in (join(0, 255, 0), join(1, 255, 0x400000), join(0, 0, 1)):
+            with pytest.raises(OperandError) as raised:
+                backend.to_values([0x3F800000, bad])
+            with pytest.raises(OperandError) as want:
+                fpu_add(bad, 0x3F800000)
+            assert str(raised.value) == str(want.value)
+
+
+_NORMAL_WORDS = st.builds(join, st.integers(0, 1), st.integers(1, 254), st.integers(0, FRAC_MASK))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NORMAL_WORDS, _NORMAL_WORDS)
+def test_every_form_matches_fpu_on_normal_words(a, b):
+    """Word method, scalar value op and bulk op: the oracle's word and flags."""
+    for name, oracle in ORACLES.items():
+        ref_flags = FpuFlags()
+        want = oracle(a, b, ref_flags)
+        words, values, bulk = SoftF32Backend(), SoftF32Backend(), SoftF32Backend()
+        assert getattr(words, name)(a, b) == want
+        x, y = values.to_values([a, b]).tolist()
+        assert values.to_words([getattr(values, f"v{name}")(x, y)]) == [want]
+        out = getattr(bulk, f"bulk_{name}")(bulk.to_values([a]), bulk.to_values([b]))
+        assert bulk.to_words(out) == [want]
+        assert words.flags == values.flags == bulk.flags == ref_flags
+
+
 def _count_ops(backend) -> dict:
-    """Wrap the backend instance's op methods, as the benchmark's op counter does."""
-    counts = dict.fromkeys(("add", "sub", "mul", "gt", "lt"), 0)
-
-    def counted(name, fn):
-        def op(a, b):
-            counts[name] += 1
-            return fn(a, b)
-
-        return op
-
-    for name in counts:
-        setattr(backend, name, counted(name, getattr(backend, name)))
-    return counts
+    """The backend's own op meter, zeroed; it counts word, bulk and kernel ops."""
+    backend.ops.update(dict.fromkeys(backend.ops, 0))
+    return backend.ops
 
 
 class TestOpCountFidelity:

@@ -320,6 +320,19 @@ class TestExitStatusContract:
             rep = run_pipeline(RunConfig(input_path=str(path), fs=1000.0, backend=backend))
         assert sum("degenerate detection threshold" in w for w in rep.warnings) == 1
 
+    def test_empty_annotation_file_named_in_report_without_python_warning(self, tmp_path):
+        rec_path, ann_path = tmp_path / "rec.csv", tmp_path / "empty.ann"
+        write_recording(generate_synthetic(FAST_SPEC), rec_path)
+        ann_path.write_text("")
+        cfg = RunConfig(
+            input_path=str(rec_path), fs=1000.0, annotations_path=str(ann_path), backend="float64"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_pipeline(cfg)
+        assert rep.metrics is None
+        assert f"{ann_path}: annotation file contains no entries" in rep.warnings
+
 
 class TestCli:
     def test_run_synth_spec_file(self, tmp_path, capsys):

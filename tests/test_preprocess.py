@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from fhrmon.io import SynthSpec, generate_synthetic
 from fhrmon.numeric import make_backend, quantized
 from fhrmon.preprocess import (
     BASELINE_WINDOW,
@@ -259,3 +260,54 @@ class TestIirFilterGeneric:
         yr = run_filter(make_lowpass(ref), ref, x)
         rel = np.sqrt(np.mean((ys - yr) ** 2)) / np.sqrt(np.mean(yr**2))
         assert rel < 2e-4
+
+
+def _chain_state(chain):
+    """Every delay line, ring and running total of a chain, as backend words."""
+    means = (chain.baseline.mean1, chain.baseline.mean2)
+    return (
+        [(f.input_history, f.output_history) for f in (chain.lowpass, chain.notch)],
+        [(list(m.ring), m.mean) for m in means],
+    )
+
+
+class TestStageMajorProcess:
+    """``PreprocessChain.process`` against a loop of ``PreprocessChain.step``."""
+
+    @staticmethod
+    def signal(kind):
+        rng = np.random.default_rng(61)
+        ecg = generate_synthetic(SynthSpec(duration_s=5.0, seed=61)).channel("abdominal")
+        if kind == "ecg":
+            return ecg
+        # Full-scale steps drive the low-pass recursion past the largest
+        # float32 (saturation); a tiny segment flushes its products to zero.
+        return np.concatenate(
+            [ecg[:2000], np.full(300, 3e38), np.full(300, -3e38), 1e-36 * rng.normal(size=500), ecg]
+        )
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize("kind", ["ecg", "saturating"])
+    def test_words_flags_meter_and_state_match_step_loop(self, backend, kind):
+        x = self.signal(kind)
+        bk_run, bk_step = make_backend(backend), make_backend(backend)
+        run_chain, step_chain = PreprocessChain(bk_run), PreprocessChain(bk_step)
+        # Two calls: the second resumes from the state the first left.
+        got = run_chain.process(x[:1234]) + run_chain.process(x[1234:])
+        want = [step_chain.step(bk_step.encode(float(v))) for v in x]
+        assert got == want
+        assert bk_run.flags == bk_step.flags
+        assert bk_run.ops == bk_step.ops
+        assert _chain_state(run_chain) == _chain_state(step_chain)
+        if backend == "soft" and kind == "saturating":
+            assert bk_run.flags.overflow and bk_run.flags.underflow
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e39])
+    def test_unrepresentable_sample_raises_what_encode_raises(self, value):
+        bk = make_backend("soft")
+        with pytest.raises((ValueError, OverflowError)) as raised:
+            PreprocessChain(bk).process([0.5, value])
+        with pytest.raises((ValueError, OverflowError)) as want:
+            bk.encode(value)
+        assert type(raised.value) is type(want.value)
+        assert str(raised.value) == str(want.value)
