@@ -85,6 +85,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.trace is not None:
         data["trace"] = [s.strip() for s in args.trace.split(",") if s.strip()]
     if args.synth_path:
+        if args.input_path:
+            raise ConfigError("--input and --synth name two recordings: give one")
         data["synth"] = _read_json(args.synth_path)
         data.pop("input_path", None)
     try:

@@ -20,6 +20,7 @@ annotations and everything is a pure function of the spec and its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -56,8 +57,8 @@ class Recording:
     provenance: str = ""
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise RecordingError(f"sampling frequency must be positive, got {self.fs}")
+        if not 0 < self.fs < math.inf:
+            raise RecordingError(f"sampling frequency must be positive and finite, got {self.fs}")
         lengths = {name: len(ch) for name, ch in self.channels.items()}
         if len(set(lengths.values())) > 1:
             raise RecordingError(f"channel lengths differ: {lengths}")
@@ -116,8 +117,8 @@ class SynthSpec:
         for name in ("noise_rms", "baseline_amp", "powerline_amp", "fetal_amplitude_ratio"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.duration_s <= 0 or self.fs <= 0:
-            raise ValueError("duration_s and fs must be positive")
+        if not (0 < self.duration_s < math.inf and 0 < self.fs < math.inf):
+            raise ValueError("duration_s and fs must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -7,8 +7,15 @@ first), weights ``w``, step size ``mu`` and ``beta = 2*mu``:
     e = scale_d(d) - y
     w[k] += beta * e * scale(x[k])        (k ascending)
 
-:meth:`LmsState.update` is the only implementation of that step: 5m + 3
-value ops (2m adds, one subtract, 3m + 2 multiplies) in one fixed order.
+The modelled datapath issues 5m + 3 ops per sample (2m adds, one subtract,
+3m + 2 multiplies), scaling every tap of the window afresh.
+:meth:`LmsState.update` is the only implementation of that step.  It scales
+each sample once, as it enters the window, and reuses the scaled tap while
+it stays there: a multiply is a pure function of its operands, so the values
+are the ones a fresh scaling gives, and the flags a scaling raised are
+counted again on every later sample its tap is reused.  It makes 4m + 4
+value-op calls, and its meter and cycle counts still read the 5m + 3 ops the
+datapath issues.
 :func:`lms_step` runs it on one pair of backend-encoded samples, and
 :func:`run_canceller` runs it over whole channels, converting them between
 words and values once.  The two datapath models run it unchanged and differ
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
@@ -57,8 +65,8 @@ class LmsConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"filter order must be >= 1, got {self.order}")
-        if self.step_size <= 0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
 
     @property
     def beta(self) -> float:
@@ -129,7 +137,8 @@ class CycleStats:
 class LmsState:
     """Tap window and weight vector, held as values, plus the constants.
 
-    ``window`` and ``weights`` read as backend-encoded lists.
+    ``window`` and ``weights`` read as backend-encoded lists.  Beside the raw
+    window, ``scaled_values`` holds each tap times ``input_scale``.
     """
 
     def __init__(self, cfg: LmsConfig, backend):
@@ -138,8 +147,13 @@ class LmsState:
         self.desired_scale = quantized(cfg.desired_scale)
         self.beta = quantized(cfg.beta)
         m = cfg.order
-        self.window_values = [0.0] * m
+        self.window_values = deque([0.0] * m, maxlen=m)
+        self.scaled_values = deque([backend.vmul(0.0, self.input_scale)] * m, maxlen=m)
         self.weight_values = [0.0] * m
+        # [overflow, underflow, samples left] for each scaled tap whose scaling
+        # raised flags and that later samples still reuse (m - 1 of them).
+        self._replay = []
+        self._reuses = m - 1
         self.ops_per_step = {"add": 2 * m, "sub": 1, "mul": 3 * m + 2}
 
     @property
@@ -153,19 +167,37 @@ class LmsState:
     def update(self, x: float, d: float) -> tuple[float, float]:
         """One-sample update on values; returns ``(e, y)``.
 
-        Every tap is scaled afresh each sample (m multiplies) rather than once
-        on entry, so the step issues exactly the 5m + 3 ops both schedules
-        account for.  The caller meters them (``ops_per_step``).
+        Only the entering sample is scaled; the other m - 1 taps reuse their
+        scaled values, and any flags their scaling raised are counted again,
+        so flag totals after every sample equal those of a step that scales
+        every tap afresh.  The caller meters the 5m + 3 ops that step issues
+        (``ops_per_step``), reused scalings included.
         """
         bk = self.backend
         mul, add = bk.vmul, bk.vadd
-        window = self.window_values = [x] + self.window_values[:-1]
-        sx = list(map(mul, window, repeat(self.input_scale)))
+        flags = bk.flags
+        if self._replay:
+            self._replay_flags()
+        overflow, underflow = flags.overflow, flags.underflow
+        self.window_values.appendleft(x)
+        sx = self.scaled_values
+        sx.appendleft(mul(x, self.input_scale))
+        if (flags.overflow != overflow or flags.underflow != underflow) and self._reuses:
+            self._replay.append([flags.overflow - overflow, flags.underflow - underflow, self._reuses])
         y = reduce(add, map(mul, sx, self.weight_values), 0.0)
         e = bk.vsub(mul(d, self.desired_scale), y)
         be = mul(self.beta, e)
         self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
         return e, y
+
+    def _replay_flags(self) -> None:
+        """Count the flags of each reused flagged tap's scaling once more."""
+        flags = self.backend.flags
+        for tap in self._replay:
+            flags.overflow += tap[0]
+            flags.underflow += tap[1]
+            tap[2] -= 1
+        self._replay = [tap for tap in self._replay if tap[2]]
 
 
 def scale(backend, sample, factor):

@@ -25,11 +25,11 @@ not a normal number, goes to the unchanged ``fpu_*`` function for that
 element alone, so saturation/flush flags and ``OperandError`` messages come
 from :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
 
-Each backend owns an op meter, ``ops``: executed operations by method name
-(``gt`` and ``lt`` are the comparisons).  A word method adds 1 per call, a
-bulk op adds its element count, and a stage kernel adds the ops of its loop
-body once per iteration through :meth:`OpMeter.tally`; scalar value ops do
-not count themselves.
+Each backend owns an op meter, ``ops``: the operations the modelled
+datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
+word method adds 1 per call, a bulk op adds its element count, and a stage
+kernel adds the ops of its loop body once per iteration through
+:meth:`OpMeter.tally`; scalar value ops do not count themselves.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 from array import array
 from collections import deque
-from math import copysign, ulp
+from math import ulp
 
 import numpy as np
 
@@ -59,9 +59,13 @@ _POW2_ULP24 = 2.0**-23  # the float32 spacing at x is x * this iff x is a power 
 _LOW29 = np.uint64((1 << 29) - 1)  # double fraction bits below a float32's 23
 _STEP24 = np.uint64(1 << 29)  # one float32 step, on a double's bit pattern
 
-
 class OpMeter(dict):
-    """Executed backend operations, by method name; starts at zero."""
+    """Backend operations issued, by method name; starts at zero.
+
+    It counts the ops of the modelled step, not the calls a kernel makes: the
+    LMS kernel reuses each tap's scaling from the sample it entered on, and
+    the meter still counts a scaling per tap per sample, as issued.
+    """
 
     def __init__(self):
         super().__init__(dict.fromkeys(OP_NAMES, 0))
@@ -136,28 +140,41 @@ class SoftF32Backend:
 
     # -- scalar value ops ---------------------------------------------------
 
+    # vadd and vmul run once per add or multiply of every stage loop.  They
+    # branch on the sign of the result instead of calling abs/copysign, and
+    # compare with float literals (0.0, not 0), which CPython's float-compare
+    # fast path needs.
+
     def vadd(self, a: float, b: float) -> float:
         """``fpu_add`` on float32 values."""
         s = a + b
-        if _MIN_NORMAL <= abs(s) < _OVERFLOW:
-            t = s * _SPLIT
-            h = t - (t - s)
-            if h != s:
-                # s is off the float32 grid, so the exact sum lies between the
-                # same two neighbours: truncate s.
-                if (s - h) * s > 0:
-                    return h
-                return h - copysign(ulp(s) * _ULP24, s)
-            z = s - a
-            if ((a - (s - z)) + (b - z)) * s >= 0:
-                return s  # exact, or rounded toward zero
-            # Rounded away from zero onto the grid: step one float32 inward,
-            # a half step below a power of two.
-            u = ulp(s) * _ULP24
-            if u == abs(s) * _POW2_ULP24:
-                u *= 0.5
-            return s - copysign(u, s)
-        if not s:
+        if s > 0.0:
+            if _MIN_NORMAL <= s < _OVERFLOW:
+                t = s * _SPLIT
+                h = t - (t - s)
+                if h != s:
+                    # s is off the float32 grid, so the exact sum lies between
+                    # the same two neighbours: truncate s.
+                    return h if h < s else h - ulp(s) * _ULP24
+                z = s - a
+                if (a - (s - z)) + (b - z) >= 0.0:  # TwoSum residual
+                    return s  # exact, or rounded toward zero
+                # Rounded away from zero onto the grid: step one float32
+                # inward, a half step below a power of two.
+                u = ulp(s) * _ULP24
+                return s - (u * 0.5 if u == s * _POW2_ULP24 else u)
+        elif s < 0.0:
+            if -_OVERFLOW < s <= -_MIN_NORMAL:
+                t = s * _SPLIT
+                h = t - (t - s)
+                if h != s:
+                    return h if h > s else h + ulp(s) * _ULP24
+                z = s - a
+                if (a - (s - z)) + (b - z) <= 0.0:
+                    return s
+                u = ulp(s) * _ULP24
+                return s + (u * 0.5 if u == -s * _POW2_ULP24 else u)
+        elif s == 0.0:
             return s  # an exact zero takes IEEE's sign, as fpu_add does
         return self._oracle(fpu.fpu_add, a, b)
 
@@ -168,13 +185,17 @@ class SoftF32Backend:
     def vmul(self, a: float, b: float) -> float:
         """``fpu_mul`` on float32 values."""
         p = a * b  # exact: 24 x 24 mantissa bits fit in 53
-        if _MIN_NORMAL <= abs(p) < _OVERFLOW:
-            t = p * _SPLIT
-            h = t - (t - p)
-            if (p - h) * p >= 0:
-                return h
-            return h - copysign(ulp(p) * _ULP24, p)
-        if not p:
+        if p > 0.0:
+            if _MIN_NORMAL <= p < _OVERFLOW:
+                t = p * _SPLIT
+                h = t - (t - p)  # p rounded to 24 bits; truncate instead
+                return h if h <= p else h - ulp(p) * _ULP24
+        elif p < 0.0:
+            if -_OVERFLOW < p <= -_MIN_NORMAL:
+                t = p * _SPLIT
+                h = t - (t - p)
+                return h if h >= p else h + ulp(p) * _ULP24
+        elif p == 0.0:
             return p  # a zero operand: the XOR of the signs, as fpu_mul gives
         return self._oracle(fpu.fpu_mul, a, b)
 

@@ -17,6 +17,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -79,10 +80,12 @@ class RunConfig:
             raise ConfigError(f"cmp_mode must be one of {VALID_CMP_MODES}")
         if self.backend not in VALID_BACKENDS:
             raise ConfigError(f"backend must be one of {VALID_BACKENDS}")
-        if self.order < 1 or self.mu <= 0:
-            raise ConfigError("order must be >= 1 and mu positive")
-        if self.clock_hz <= 0:
-            raise ConfigError("clock_hz must be positive")
+        if self.order < 1:
+            raise ConfigError(f"order must be >= 1, got {self.order}")
+        for name in ("fs", "mu", "clock_hz", "scale_target"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:  # False for NaN too
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.convergence_index is not None and self.convergence_index < 0:
             raise ConfigError(f"convergence_index must be >= 0, got {self.convergence_index}")
         bad = [s for s in self.trace if s not in ("preprocess", "lms", "fhr")]

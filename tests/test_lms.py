@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from fhrmon.lms import (
     parallel_fpu_instances,
     scale,
 )
-from fhrmon.numeric import make_backend
+from fhrmon.numeric import make_backend, quantized
 
 
 class TestPlainStep:
@@ -294,3 +296,90 @@ class TestCancellerKernel:
             for x, d in zip(xw, dw):
                 dp.step(x, d)
         assert str(raised.value) == str(want.value)
+
+
+def rescaling_canceller(cfg: LmsConfig, bk, x_values, d_values):
+    """Reference LMS loop that scales every window tap afresh each sample.
+
+    The same 5m + 3 ops in the same order as the modelled datapath, written
+    out independently of ``LmsState``.  Tallies the meter like a kernel and
+    returns ``(errors, first_flag, window, weights)``, all as values.
+    """
+    input_scale, desired_scale = quantized(cfg.input_scale), quantized(cfg.desired_scale)
+    beta, m = quantized(cfg.beta), cfg.order
+    window, weights = [0.0] * m, [0.0] * m
+    errors, first_flag = [], None
+    for i, (x, d) in enumerate(zip(x_values, d_values)):
+        window = [x] + window[:-1]
+        sx = [bk.vmul(tap, input_scale) for tap in window]
+        y = reduce(bk.vadd, map(bk.vmul, sx, weights), 0.0)
+        e = bk.vsub(bk.vmul(d, desired_scale), y)
+        be = bk.vmul(beta, e)
+        weights = [bk.vadd(w, bk.vmul(be, tap)) for w, tap in zip(weights, sx)]
+        errors.append(e)
+        if first_flag is None and bk.flags.any():
+            first_flag = i
+    bk.ops.tally(len(errors), add=2 * m, sub=1, mul=3 * m + 2)
+    return errors, first_flag, window, weights
+
+
+class TestScaledTapReuse:
+    """``run_canceller`` and ``step`` against :func:`rescaling_canceller`."""
+
+    N = 3000
+
+    def inputs(self, case, backend, request):
+        bk = make_backend(backend)
+        if case == "record":
+            # the default record's preprocessed channels and scale factors
+            fixture = "soft_artifacts" if backend == "soft" else "ref_artifacts"
+            fe = request.getfixturevalue(fixture).front_end
+            cfg = LmsConfig(input_scale=fe.scale_x, desired_scale=fe.scale_d)
+            return cfg, fe.thoracic_pp[: self.N], fe.abdominal_pp[: self.N]
+        rng = np.random.default_rng(71)
+        signs = rng.choice([-1.0, 1.0], self.N)
+        if case == "saturating":
+            # |x| ~ 1e10 times 2^100 is past the float32 range: every scaling saturates
+            x, cfg = signs * rng.uniform(0.5e10, 1.5e10, self.N), LmsConfig(input_scale=2.0**100)
+        else:
+            # |x| ~ 2^-40 times 2^-100 is ~ 2^-140: every scaling flushes to zero
+            x, cfg = signs * rng.uniform(0.5, 1.5, self.N) * 2.0**-40, LmsConfig(input_scale=2.0**-100)
+        d = rng.uniform(-2.0, 2.0, self.N)
+        return cfg, [bk.encode(float(v)) for v in x], [bk.encode(float(v)) for v in d]
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize("case", ["record", "saturating", "flushing"])
+    @pytest.mark.parametrize("datapath", [SeriesDatapath, ParallelDatapath])
+    def test_matches_rescaling_reference(self, backend, case, datapath, request):
+        cfg, xw, dw = self.inputs(case, backend, request)
+        bk_run, bk_step, bk_ref = (make_backend(backend) for _ in range(3))
+        run_dp, step_dp = datapath(cfg, bk_run), datapath(cfg, bk_step)
+
+        errors, first_flag = lms.run_canceller(run_dp, xw, dw)
+        step_errors, step_first = [], None
+        for i, (x, d) in enumerate(zip(xw, dw)):
+            step_errors.append(step_dp.step(x, d)[0])
+            if step_first is None and bk_step.flags.any():
+                step_first = i
+        want, want_first, window, weights = rescaling_canceller(
+            cfg, bk_ref, bk_ref.to_values(xw).tolist(), bk_ref.to_values(dw).tolist()
+        )
+
+        # float64 words run to inf/NaN on the saturating input; NaN == NaN here
+        for got in (errors, step_errors):
+            np.testing.assert_array_equal(np.array(got), np.array(bk_ref.to_words(want)))
+        assert first_flag == step_first == want_first
+        assert bk_run.flags == bk_step.flags == bk_ref.flags
+        assert bk_run.ops == bk_step.ops == bk_ref.ops
+        stats = lms.CycleStats(run_dp.schedule.cycles, run_dp.stats.fpu_instances)
+        stats.tally(run_dp.schedule, self.N)
+        assert run_dp.stats == step_dp.stats == stats
+        assert stats.fpu_ops_issued == sum(bk_ref.ops.values())
+        for dp in (run_dp, step_dp):
+            assert dp.state.window == list(map(bk_ref.encode, window))
+            np.testing.assert_array_equal(dp.state.weights, list(map(bk_ref.encode, weights)))
+        if backend == "soft" and case != "record":
+            # every scaling raised its flag, so the flag totals count each tap m times
+            kind = "overflow" if case == "saturating" else "underflow"
+            assert getattr(bk_run.flags, kind) >= cfg.order * (self.N - cfg.order)
+            assert first_flag == 0

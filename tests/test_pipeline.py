@@ -406,6 +406,47 @@ class TestCli:
             "(1e+39) at index 100\n"
         )
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, field", [("--fs", "fs"), ("--mu", "mu"), ("--clock-hz", "clock_hz")])
+    def test_non_finite_numeric_flag_exits_2(self, flag, field, value, tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        write_recording(generate_synthetic(SynthSpec(duration_s=0.5)), path)
+        rc = cli_main(["run", "--input", str(path), "--fs", "1000", "--backend", "float64", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} must be positive and finite, got {value}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-16", "NaN", "Infinity"])
+    def test_bad_scale_target_exits_2(self, value, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"synth": {{"duration_s": 6.0}}, "scale_target": {value}}}')
+        rc = cli_main(["run", "--config", str(cfg_path), "--backend", "float64"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: scale_target must be positive and finite")
+
+    def test_input_and_synth_flags_together_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        rc = cli_main(["run", "--input", str(tmp_path / "absent.csv"), "--synth", str(spec_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--input" in err and "--synth" in err
+
+    def test_synth_flag_overrides_config_input_path(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input_path": str(tmp_path / "absent.csv")}))
+        rc = cli_main(
+            [
+                "run", "--config", str(cfg_path), "--synth", str(spec_path),
+                "--backend", "float64", "--convergence-index", "2000",
+            ]
+        )  # fmt: skip
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["config"]["input_path"] is None
+
     def test_fpu_subcommand_add(self, capsys):
         rc = cli_main(["fpu", "add", "3f800000", "3f800000"])
         assert rc == 0
