@@ -16,10 +16,15 @@ are the ones a fresh scaling gives, and the flags a scaling raised are
 counted again on every later sample its tap is reused.  It makes 4m + 4
 value-op calls, and its meter and cycle counts still read the 5m + 3 ops the
 datapath issues.
-:func:`lms_step` runs it on one pair of backend-encoded samples, and
-:func:`run_canceller` runs it over whole channels, converting them between
-words and values once.  The two datapath models run it unchanged and differ
-only in the :class:`Schedule` their :class:`CycleStats` are accounted from:
+:func:`lms_step` runs it on one pair of backend-encoded samples.
+:func:`run_canceller` runs whole channels, converting them between words and
+values once, through a block kernel: each sample's taps as numpy vectors (the
+software form of the parallel datapath), on the soft backend in float32
+under round-toward-zero, which is the fpu's truncation while every result
+stays in the normal range.  A block whose results leave that range is rerun
+by :meth:`LmsState.update`, so flags and words still come from the exact
+path.  The two datapath models run the same step and differ only in the
+:class:`Schedule` their :class:`CycleStats` are accounted from:
 
 * :class:`SeriesDatapath` — one multiply-accumulate lane reused across
   ``2m + 1`` cycles per sample (few arithmetic units, long latency).
@@ -30,11 +35,10 @@ only in the :class:`Schedule` their :class:`CycleStats` are accounted from:
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -270,8 +274,7 @@ def run_canceller(datapath, x_samples, d_samples):
     """Drive a datapath over full channels; returns (e_words, first_flag_index).
 
     ``x_samples``/``d_samples`` are backend-encoded sequences, converted to
-    values once for :meth:`LmsState.update`; its errors are converted back
-    to words once.
+    values once; the errors are converted back to words once.
     ``first_flag_index`` is the first sample whose step raised a
     saturation/flush flag, or None.  The backend's flag totals at entry are
     the reference, so flags raised by earlier stages sharing the backend are
@@ -279,20 +282,137 @@ def run_canceller(datapath, x_samples, d_samples):
     """
     state = datapath.state
     bk = state.backend
-    flags = bk.flags
+    # The value streams and the kernel's buffers are freed before the words
+    # are built, so the two never add up in peak memory.
+    errors, first_flag = _run_blocks(state, bk.to_values(x_samples), bk.to_values(d_samples))
+    words = bk.to_words(errors)
+    bk.ops.tally(len(errors), **state.ops_per_step)
+    datapath.stats.tally(datapath.schedule, len(errors))
+    return words, first_flag
+
+
+def _run_blocks(state: LmsState, x_values: np.ndarray, d_values: np.ndarray):
+    """Error values and the first flagged sample, ``BLOCK`` samples at a time.
+
+    Each block runs through :class:`_BlockKernel`.  A block it rejects, and
+    a block that starts while a flagged scaling is still being reused, runs
+    through :meth:`LmsState.update` from the same state instead, so every
+    flag is raised on the exact path.
+    """
+    flags = state.backend.flags
     entry_total = flags.overflow + flags.underflow
     first_flag = None
-    update = state.update
-    x_values, d_values = bk.to_values(x_samples), bk.to_values(d_samples)
     n = min(len(x_values), len(d_values))
-    errors = array("d")
-    append = errors.append
-    for i, x, d in zip(range(n), memoryview(x_values), memoryview(d_values)):
-        append(update(x, d)[0])
-        if first_flag is None and flags.overflow + flags.underflow > entry_total:
-            first_flag = i
-    del x_values, d_values
-    words = bk.to_words(errors)
-    bk.ops.tally(n, **state.ops_per_step)
-    datapath.stats.tally(datapath.schedule, n)
-    return words, first_flag
+    errors = np.empty(n)
+    kernel = _BlockKernel(state)
+    with np.errstate(all="ignore"):
+        for start in range(0, n, BLOCK):
+            x, d = x_values[start : start + BLOCK], d_values[start : start + BLOCK]
+            out = errors[start : start + BLOCK]
+            if not state._replay and kernel.run(x, d, out):
+                continue
+            for i, xi, di in zip(range(len(out)), x.tolist(), d.tolist()):
+                out[i] = state.update(xi, di)[0]
+                if first_flag is None and flags.overflow + flags.underflow > entry_total:
+                    first_flag = start + i
+    return errors, first_flag
+
+
+BLOCK = 512  # samples per block of the vector kernel
+
+
+class _BlockKernel:
+    """:meth:`LmsState.update` over a block of samples as numpy vector ops.
+
+    Each sample's taps run as whole vectors in the backend's
+    ``block_dtype``, in the step's op order: products, their sum
+    accumulated from +0 in tap order, the error, ``beta*e``, the update
+    terms and the new weights.  Every intermediate is kept, one row per
+    sample, so that on a backend with a ``block_range`` one bulk check can
+    rebuild the exact result of each op and reject the block if any lies
+    outside it.  A block is committed to the state only if it is accepted.
+    """
+
+    def __init__(self, state: LmsState):
+        self.state = state
+        bk = state.backend
+        dt = bk.block_dtype
+        self.order = m = len(state.weight_values)
+        self.input_scale, self.desired_scale, self.beta = (
+            dt(state.input_scale), dt(state.desired_scale), dt(state.beta)
+        )
+        # Scaled taps, newest first: the block's samples, then the m - 1 it
+        # inherits.  Row j of ``windows`` is taps[j : j + m].
+        self.taps = np.zeros(BLOCK + m - 1, dt)
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.taps, m)
+        self.products = np.zeros((BLOCK, m + 1), dt)  # column 0 stays +0: the sum's start
+        self.sums = np.empty((BLOCK, m + 1), dt)
+        self.terms = np.empty((BLOCK, m), dt)
+        self.weights = np.empty((BLOCK + 1, m), dt)  # row i: the weights sample i reads
+
+    def run(self, x: np.ndarray, d: np.ndarray, out: np.ndarray) -> bool:
+        """Run a block of values; on success write its errors to ``out``."""
+        bk = self.state.backend
+        with bk.rounding_scope() as available:
+            if not available:
+                return False
+            sd, e, be = self.compute(x, d)
+        if bk.block_range is not None and not self.in_range(x, d, sd, e, be, *bk.block_range):
+            return False
+        self.commit(x, len(d))
+        out[:] = e
+        return True
+
+    def compute(self, x, d):
+        """The block's arithmetic; returns the scaled desired samples, errors and gains."""
+        st, n, m = self.state, len(d), self.order
+        dt = self.taps.dtype
+        multiply, add, accumulate = np.multiply, np.add, np.add.accumulate
+        self.taps[n : n + m - 1] = list(islice(st.scaled_values, m - 1))
+        multiply(x[::-1].astype(dt), self.input_scale, out=self.taps[:n])
+        sd = multiply(d.astype(dt), self.desired_scale)
+        self.weights[0] = st.weight_values
+        beta = self.beta
+        # sample i of a block of n reads window n - 1 - i
+        for win, w, w_next, p, p_taps, s, u, sd_i in zip(
+            self.windows[n - 1 :: -1], self.weights, self.weights[1:], self.products,
+            self.products[:, 1:], self.sums, self.terms, sd,
+        ):
+            multiply(win, w, p_taps)
+            accumulate(p, out=s)
+            multiply(beta * (sd_i - s[m]), win, u)
+            add(w, u, w_next)
+        e = sd - self.sums[:n, m]
+        return sd, e, beta * e
+
+    def in_range(self, x, d, sd, e, be, lo, hi) -> bool:
+        """Whether each op's exact result is zero or has a magnitude in [lo, hi).
+
+        Each op is redone in float64.  Products of two float32 values are
+        exact there; a float64 sum of two is exact below 2^-125 and rounds
+        monotonically, so it leaves [lo, hi) exactly when the exact sum does.
+        """
+        n, m = len(d), self.order
+        wins, weights, sums = self.windows[n - 1 :: -1], self.weights[:n], self.sums[:n]
+        ops = (
+            (np.multiply, x, self.input_scale),
+            (np.multiply, d, self.desired_scale),
+            (np.multiply, wins, weights),
+            (np.add, sums[:, :-1], self.products[:n, 1:]),
+            (np.subtract, sd, sums[:, m]),
+            (np.multiply, self.beta, e),
+            (np.multiply, be[:, None], wins),
+            (np.add, weights, self.terms[:n]),
+        )
+        for op, a, b in ops:
+            mag = np.abs(op(a, b, dtype=np.float64))
+            if not (((mag >= lo) & (mag < hi)) | (mag == 0.0)).all():
+                return False
+        return True
+
+    def commit(self, x, n: int) -> None:
+        """Leave the state as :meth:`LmsState.update` would after the block."""
+        st = self.state
+        st.window_values.extendleft(x.tolist())
+        st.scaled_values.extendleft(self.taps[n - 1 :: -1].tolist())
+        st.weight_values = self.weights[n].tolist()

@@ -25,6 +25,13 @@ not a normal number, goes to the unchanged ``fpu_*`` function for that
 element alone, so saturation/flush flags and ``OperandError`` messages come
 from :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
 
+Block kernels run whole vectors of float32 (soft) or float64 ops in numpy
+inside the backend's ``rounding_scope()``.  On the soft path the scope sets
+the C library's rounding mode to round-toward-zero, in which IEEE float32
+arithmetic is the fpu's truncation wherever a result stays in the normal
+range; ``block_range`` names that range so a kernel can check its results
+and redo out-of-range work on the value ops.
+
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
 word method adds 1 per call, a bulk op adds its element count, and a stage
@@ -35,8 +42,10 @@ kernel adds the ops of its loop body once per iteration through
 from __future__ import annotations
 
 import operator
+import os
 from array import array
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from math import ulp
 
 import numpy as np
@@ -58,6 +67,63 @@ _ULP24 = 2.0**29  # math.ulp(x) * _ULP24: float32 spacing in the binade of x
 _POW2_ULP24 = 2.0**-23  # the float32 spacing at x is x * this iff x is a power of two
 _LOW29 = np.uint64((1 << 29) - 1)  # double fraction bits below a float32's 23
 _STEP24 = np.uint64(1 << 29)  # one float32 step, on a double's bit pattern
+
+# fesetround's FE_TOWARDZERO by machine; on any other machine the soft
+# rounding scope is unavailable and block kernels fall back to the value ops.
+_FE_TOWARDZERO = {"x86_64": 0xC00, "aarch64": 0xC00000}
+_LIBM = "libm.so.6"  # glibc's; elsewhere loading it fails and the scope is unavailable
+# (fesetround, fegetround, FE_TOWARDZERO) once loaded and probed, False once
+# that failed, None before the first soft rounding scope.
+_rounding = None
+
+
+def _load_rounding():
+    """The C library's rounding controls, if they make numpy float32 truncate."""
+    mode = _FE_TOWARDZERO.get(os.uname().machine if hasattr(os, "uname") else "")
+    if mode is None:
+        return False
+    try:
+        import ctypes
+
+        libm = ctypes.CDLL(_LIBM)
+        setter, getter = libm.fesetround, libm.fegetround
+    except (ImportError, OSError, AttributeError):
+        return False
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    previous = getter()
+    if setter(mode):
+        return False
+    try:
+        # 1 - 2^-30 and (1 + 2^-23)(1 - 2^-23) = 1 - 2^-46 both truncate to
+        # 1 - 2^-24; round-to-nearest would give 1.
+        one, tiny, step = np.ones(2, np.float32), np.float32(2.0**-30), np.float32(2.0**-23)
+        below_one = np.float32(1.0 - 2.0**-24)
+        truncates = ((one - tiny) == below_one).all() and (
+            (one + step) * (one - step) == below_one
+        ).all()
+    finally:
+        setter(previous)
+    return (setter, getter, mode) if truncates else False
+
+
+@contextmanager
+def _toward_zero():
+    """Round-toward-zero for the duration; yields False if it cannot be set."""
+    global _rounding
+    if _rounding is None:
+        _rounding = _load_rounding()
+    if not _rounding:
+        yield False
+        return
+    setter, getter, mode = _rounding
+    previous = getter()
+    setter(mode)
+    try:
+        yield True
+    finally:
+        setter(previous)
+
 
 class OpMeter(dict):
     """Backend operations issued, by method name; starts at zero.
@@ -85,6 +151,8 @@ class SoftF32Backend:
     """
 
     name = "soft"
+    block_dtype = np.float32
+    block_range = (_MIN_NORMAL, _MAX_NORMAL)  # [lo, hi): max normal itself counts as out
 
     def __init__(self, cmp_mode: str = "corrected"):
         self.cmp_mode = cmp_mode
@@ -101,6 +169,18 @@ class SoftF32Backend:
 
     def decode(self, word: int) -> float:
         return fpu.decode(word)
+
+    @staticmethod
+    def rounding_scope():
+        """Float32 numpy arithmetic truncates inside; yields whether it does.
+
+        The rounding mode is the C library's, per thread, set with
+        ``fesetround`` (loaded through ctypes on first use) and restored on
+        exit.  Within ``block_range`` the results are the value ops' words;
+        outside it, and for subnormal results, they are not, and the caller
+        must check.  Every double op made inside the scope truncates too.
+        """
+        return _toward_zero()
 
     # -- word methods: adapters over the value ops ------------------------
 
@@ -278,6 +358,8 @@ class Float64Backend:
     """Native double-precision reference arithmetic (test/diagnostic path)."""
 
     name = "float64"
+    block_dtype = np.float64
+    block_range = None  # block arithmetic matches the value ops everywhere
 
     vadd = staticmethod(operator.add)
     vsub = staticmethod(operator.sub)
@@ -287,6 +369,11 @@ class Float64Backend:
         self.flags = FpuFlags()
         self.ops = OpMeter()
         self.zero = 0.0
+
+    @staticmethod
+    def rounding_scope():
+        """Block arithmetic needs no rounding change here."""
+        return nullcontext(True)
 
     def encode(self, value: float) -> float:
         return float(value)

@@ -74,6 +74,11 @@ class RunConfig:
     def __post_init__(self):
         if (self.input_path is None) == (self.synth is None):
             raise ConfigError("exactly one of input_path or synth must be given")
+        if self.synth is not None:
+            # The spec sets the synthetic record's rate and its annotations.
+            for name in ("fs", "annotations_path"):
+                if getattr(self, name) is not None:
+                    raise ConfigError(f"{name} applies to input_path only; synth sets its own")
         if self.arch not in VALID_ARCHES:
             raise ConfigError(f"arch must be one of {VALID_ARCHES}, got {self.arch!r}")
         if self.cmp_mode not in VALID_CMP_MODES:

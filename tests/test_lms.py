@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fhrmon import fpu, lms
+from fhrmon import fpu, lms, numeric
 from fhrmon.lms import (
     CycleStats,
     LmsConfig,
@@ -383,3 +388,210 @@ class TestScaledTapReuse:
             kind = "overflow" if case == "saturating" else "underflow"
             assert getattr(bk_run.flags, kind) >= cfg.order * (self.N - cfg.order)
             assert first_flag == 0
+
+
+def bit_patterns(words) -> np.ndarray:
+    """Soft words as they are; float64 words by their bits (signed zeros, NaNs)."""
+    a = np.asarray(words)
+    return a.astype(np.uint32) if a.dtype.kind in "iu" else a.astype(np.float64).view(np.uint64)
+
+
+def update_loop(datapath, xw, dw):
+    """The plain :meth:`LmsState.update` loop, metered as ``run_canceller`` meters."""
+    state = datapath.state
+    bk = state.backend
+    entry_total = bk.flags.overflow + bk.flags.underflow
+    errors, first_flag = [], None
+    for i, (x, d) in enumerate(zip(bk.to_values(xw).tolist(), bk.to_values(dw).tolist())):
+        errors.append(state.update(x, d)[0])
+        if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
+            first_flag = i
+    bk.ops.tally(len(errors), **state.ops_per_step)
+    datapath.stats.tally(datapath.schedule, len(errors))
+    return bk.to_words(errors), first_flag
+
+
+def count_updates(monkeypatch) -> list:
+    """Count the samples that go through ``LmsState.update`` from now on."""
+    calls = [0]
+    update = LmsState.update
+
+    def counted(self, x, d):
+        calls[0] += 1
+        return update(self, x, d)
+
+    monkeypatch.setattr(LmsState, "update", counted)
+    return calls
+
+
+def truncating() -> bool:
+    """Whether float32 numpy addition currently rounds toward zero."""
+    return bool((np.ones(1, np.float32) + np.float32(-(2.0**-30)))[0] < 1.0)
+
+
+class TestBlockKernel:
+    """``run_canceller``'s block kernel against a plain ``update`` loop."""
+
+    B = lms.BLOCK
+
+    def inputs(self, case, backend, request):
+        """``(cfg, x_words, d_words, samples the exact path runs on soft)``."""
+        bk = make_backend(backend)
+        if case in ("record", "ragged"):
+            fixture = "soft_artifacts" if backend == "soft" else "ref_artifacts"
+            fe = request.getfixturevalue(fixture).front_end
+            cfg = LmsConfig(input_scale=fe.scale_x, desired_scale=fe.scale_d)
+            n = len(fe.thoracic_pp) if case == "record" else 2 * self.B + 77
+            assert n % self.B
+            return cfg, fe.thoracic_pp[:n], fe.abdominal_pp[:n], 0
+        if case in ("saturating", "flushing"):
+            cfg, xw, dw = TestScaledTapReuse().inputs(case, backend, request)
+            return cfg, xw, dw, len(xw)
+        rng = np.random.default_rng(88)
+        n = 3 * self.B + 100
+        x, d = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+        if case == "replay_pending":
+            # one scaling flushes near the end of block 0 and its tap is reused
+            # into block 1, so both blocks take the exact path
+            cfg = LmsConfig(input_scale=2.0**-20)
+            x[self.B - 3] = 2.0**-110
+            exact = 2 * self.B
+        elif case == "subnormal_product":
+            # 2^-76 * 2^-64 = 2^-140 is an exact float32 subnormal: IEEE raises
+            # no underflow for it, fpu_mul flushes it
+            cfg = LmsConfig(desired_scale=2.0**-64)
+            d[self.B + 5] = 2.0**-76
+            exact = self.B
+        elif case == "flushed_product":
+            # a 2^-80 tap times weights and gains near 2^-77 is below every
+            # float32 subnormal: zero in float32 as in the fpu, whose
+            # underflow flags alone tell them apart
+            cfg = LmsConfig(desired_scale=2.0**-64)
+            x[self.B + 5] = 2.0**-80
+            exact = self.B
+        elif case == "negative_zero_row":
+            # negative taps times +0 weights: rows of -0 products, whose sum
+            # starts from +0, and -0 desired samples that keep the weights at +0
+            cfg = LmsConfig()
+            x[: 2 * cfg.order], d[: 2 * cfg.order] = -1.0, -0.0
+            exact = 0
+        else:  # order_one
+            cfg = LmsConfig(order=1, input_scale=0.5)
+            exact = 0
+        return cfg, [bk.encode(float(v)) for v in x], [bk.encode(float(v)) for v in d], exact
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize(
+        "case",
+        ["record", "ragged", "saturating", "flushing", "replay_pending", "subnormal_product",
+         "flushed_product", "negative_zero_row", "order_one"],
+    )  # fmt: skip
+    @pytest.mark.parametrize("datapath", [SeriesDatapath, ParallelDatapath])
+    def test_matches_update_loop(self, backend, case, datapath, request, monkeypatch):
+        cfg, xw, dw, exact = self.inputs(case, backend, request)
+        bk_run, bk_loop = make_backend(backend), make_backend(backend)
+        run_dp, loop_dp = datapath(cfg, bk_run), datapath(cfg, bk_loop)
+
+        updates = count_updates(monkeypatch)
+        errors, first_flag = lms.run_canceller(run_dp, xw, dw)
+        monkeypatch.undo()
+        want, want_first = update_loop(loop_dp, xw, dw)
+
+        np.testing.assert_array_equal(bit_patterns(errors), bit_patterns(want))
+        assert first_flag == want_first
+        assert bk_run.flags == bk_loop.flags
+        assert bk_run.ops == bk_loop.ops
+        assert run_dp.stats == loop_dp.stats
+        assert run_dp.stats.samples_processed == len(xw)
+        for got, ref in ((run_dp.state.window, loop_dp.state.window),
+                         (run_dp.state.weights, loop_dp.state.weights),
+                         (list(run_dp.state.scaled_values), list(loop_dp.state.scaled_values))):
+            np.testing.assert_array_equal(bit_patterns(got), bit_patterns(ref))
+        assert run_dp.state._replay == loop_dp.state._replay
+        # the float64 backend raises no flags and checks no range: no exact path
+        assert updates[0] == (exact if backend == "soft" else 0)
+        if case == "negative_zero_row":
+            assert bit_patterns(errors)[cfg.order : 2 * cfg.order].tolist() == (
+                [0x80000000] * cfg.order if backend == "soft" else [1 << 63] * cfg.order
+            )
+
+    def test_empty_channels(self):
+        bk = make_backend("soft")
+        dp = ParallelDatapath(LmsConfig(), bk)
+        assert lms.run_canceller(dp, [], []) == ([], None)
+        assert dp.stats.samples_processed == 0 and not any(bk.ops.values())
+
+
+class TestRoundingScope:
+    """The canceller's round-toward-zero scope: entered, left and optional."""
+
+    @staticmethod
+    def run(backend="soft", n=2 * lms.BLOCK + 9):
+        bk = make_backend(backend)
+        rng = np.random.default_rng(5)
+        xw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, n)]
+        dw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, n)]
+        return lms.run_canceller(ParallelDatapath(LmsConfig(), bk), xw, dw)
+
+    def test_round_to_nearest_after_return(self):
+        assert not truncating()
+        self.run()
+        assert not truncating()
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_round_to_nearest_after_exception_in_a_block(self, backend, monkeypatch):
+        compute = lms._BlockKernel.compute
+        seen = []
+
+        def failing(self, x, d):
+            compute(self, x, d)
+            seen.append(truncating())
+            raise RuntimeError("inside a block")
+
+        monkeypatch.setattr(lms._BlockKernel, "compute", failing)
+        with pytest.raises(RuntimeError, match="inside a block"):
+            self.run(backend)
+        assert seen == [backend == "soft"]
+        assert not truncating()
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize("case", ["saturating", "flushing"])
+    def test_no_runtime_warning_escapes(self, backend, case, request):
+        # float32 overflow and float64 inf/NaN arithmetic in rejected blocks
+        cfg, xw, dw = TestScaledTapReuse().inputs(case, backend, request)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lms.run_canceller(ParallelDatapath(cfg, make_backend(backend)), xw, dw)
+            lms.run_canceller(ParallelDatapath(LmsConfig(order=4, step_size=10.0),
+                                               make_backend(backend)), xw, dw)
+
+    @pytest.mark.parametrize(
+        "patch", [("_FE_TOWARDZERO", {}), ("_LIBM", "libfhrmon-absent.so")],
+        ids=["unknown_architecture", "no_fesetround"],
+    )
+    def test_failed_probe_sends_every_block_through_update(self, patch, monkeypatch):
+        want = self.run()
+        monkeypatch.setattr(numeric, "_rounding", None)
+        monkeypatch.setattr(numeric, *patch)
+        updates = count_updates(monkeypatch)
+        assert self.run() == want
+        assert updates[0] == 2 * lms.BLOCK + 9
+        assert numeric._rounding is False
+
+    def test_import_does_not_need_ctypes(self):
+        # numpy imports ctypes itself, so block it: fhrmon must import and run
+        # without it, every soft block then taking the exact path
+        script = (
+            "import sys\n"
+            "sys.modules['ctypes'] = None\n"
+            "import fhrmon, fhrmon.cli, fhrmon.pipeline\n"
+            "from fhrmon import lms, numeric\n"
+            "assert numeric._rounding is None\n"
+            "from test_lms import TestRoundingScope\n"
+            "print(TestRoundingScope.run()[0][-3:], numeric._rounding)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == f"{self.run()[0][-3:]} False\n"

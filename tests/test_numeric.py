@@ -8,6 +8,7 @@ backend to ``fpu.py`` word for word, flag for flag and message for message.
 from __future__ import annotations
 
 import hashlib
+import os
 from itertools import repeat
 
 import numpy as np
@@ -253,6 +254,51 @@ class TestValueOpsDifferential:
             with pytest.raises(OperandError) as want:
                 fpu_add(bad, 0x3F800000)
             assert str(raised.value) == str(want.value)
+
+
+def _rounding_scope():
+    """The soft rounding scope, which must be available on x86-64 Linux."""
+    if os.uname().machine != "x86_64":
+        pytest.skip("round-toward-zero is only tested on x86-64")
+    return SoftF32Backend.rounding_scope()
+
+
+class TestRoundTowardZeroArithmetic:
+    """Float32 numpy add and multiply in the soft rounding scope against ``fpu_*``."""
+
+    N = 250_000
+
+    def test_seeded_pairs_match_fpu_where_in_range(self):
+        # the first pairs of criterion 1's seeded million
+        rng = np.random.default_rng(20240601)
+        a = random_normal_words(rng, 1_000_000)[: self.N]
+        b = random_normal_words(rng, 1_000_000)[: self.N]
+        a32, b32 = a.view(np.float32), b.view(np.float32)
+        with _rounding_scope() as available, np.errstate(all="ignore"):
+            assert available
+            sums, products = (a32 + b32).view(np.uint32), (a32 * b32).view(np.uint32)
+        a64, b64 = a32.astype(np.float64), b32.astype(np.float64)
+        # results from 2^-126 up to, not including, the largest normal magnitude
+        for name, got, exact, oracle in (
+            ("add", sums, a64 + b64, fpu_add),
+            ("mul", products, a64 * b64, fpu_mul),
+        ):
+            mag = np.abs(exact)
+            in_range = np.flatnonzero((mag == 0) | ((mag >= 2.0**-126) & (mag < 2.0**128 - 2.0**104)))
+            assert len(in_range) > self.N // 3, name
+            want = list(map(oracle, a[in_range].tolist(), b[in_range].tolist()))
+            assert got[in_range].tolist() == want, name
+
+    def test_signed_zeros(self):
+        x = np.array([1.0, -2.5, 3.0e38, -2.0**-126], np.float32)
+        zero = np.zeros(4, np.float32)
+        with _rounding_scope() as available:
+            assert available
+            cancel, both_negative, mixed = (x + -x), (-zero + -zero), (zero + -zero)
+        words = x.view(np.uint32).tolist()
+        assert cancel.view(np.uint32).tolist() == [fpu_add(w, w ^ SIGN) for w in words] == [0] * 4
+        assert both_negative.view(np.uint32).tolist() == [fpu_add(SIGN, SIGN)] * 4 == [SIGN] * 4
+        assert mixed.view(np.uint32).tolist() == [fpu_add(0, SIGN)] * 4 == [0] * 4
 
 
 _NORMAL_WORDS = st.builds(join, st.integers(0, 1), st.integers(1, 254), st.integers(0, FRAC_MASK))

@@ -47,6 +47,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(input_path="x.csv", synth=FAST_SPEC)
 
+    @pytest.mark.parametrize("field, value", [("fs", 500.0), ("annotations_path", "rec.ann")])
+    def test_synth_rejects_recording_fields(self, field, value):
+        # a synthetic record takes its rate and annotations from the spec alone
+        with pytest.raises(ConfigError, match=f"^{field} applies to input_path only"):
+            RunConfig(synth=FAST_SPEC, **{field: value})
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(synth=FAST_SPEC, arch="turbo")
@@ -432,6 +438,25 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--input" in err and "--synth" in err
+
+    @pytest.mark.parametrize(
+        "flag, field, value", [("--fs", "fs", "500"), ("--annotations", "annotations_path", "rec.ann")]
+    )
+    def test_recording_flag_with_synth_exits_2(self, flag, field, value, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        rc = cli_main(["run", "--synth", str(spec_path), "--backend", "float64", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} applies to input_path only; synth sets its own\n"
+        assert captured.out == ""
+
+    def test_fs_in_config_with_synth_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": FAST_SPEC.to_dict(), "fs": 500.0}))
+        rc = cli_main(["run", "--config", str(cfg_path), "--backend", "float64"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: fs applies to input_path only; synth sets its own\n"
 
     def test_synth_flag_overrides_config_input_path(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
