@@ -1,29 +1,26 @@
 """LMS adaptive noise canceller and its two datapath realizations.
 
 One sample step of the filter, with ``m`` taps, window ``x`` (most recent
-first), weights ``w``, step size ``mu`` and ``beta = 2*mu``:
+first), weights ``w``, step size ``mu``, ``beta = 2*mu`` and the channel
+factors ``s_x`` and ``s_d``:
 
-    y = sum_k scale(x[k]) * w[k]          (accumulated left to right)
-    e = scale_d(d) - y
-    w[k] += beta * e * scale(x[k])        (k ascending)
+    y = sum_k (x[k] * s_x) * w[k]         (accumulated left to right)
+    e = d * s_d - y
+    w[k] += beta * e * (x[k] * s_x)       (k ascending)
 
 The modelled datapath issues 5m + 3 ops per sample (2m adds, one subtract,
 3m + 2 multiplies), scaling every tap of the window afresh.
-:meth:`LmsState.update` is the only implementation of that step.  It scales
-each sample once, as it enters the window, and reuses the scaled tap while
-it stays there: a multiply is a pure function of its operands, so the values
-are the ones a fresh scaling gives, and the flags a scaling raised are
-counted again on every later sample its tap is reused.  It makes 4m + 4
-value-op calls, and its meter and cycle counts still read the 5m + 3 ops the
-datapath issues.
+:meth:`LmsState.update` is that step on values, op for op, and the exact
+path every other form is held to.
 :func:`lms_step` runs it on one pair of backend-encoded samples.
 :func:`run_canceller` runs whole channels, converting them between words and
 values once, through a block kernel: each sample's taps as numpy vectors (the
 software form of the parallel datapath), on the soft backend in float32
 under round-toward-zero, which is the fpu's truncation while every result
-stays in the normal range.  A block whose results leave that range is rerun
-by :meth:`LmsState.update`, so flags and words still come from the exact
-path.  The two datapath models run the same step and differ only in the
+stays in the normal range.  A block whose results leave that range, the
+scalings of the taps it inherits included, is rerun by
+:meth:`LmsState.update`, so flags and words still come from the exact path.
+The two datapath models run the same step and differ only in the
 :class:`Schedule` their :class:`CycleStats` are accounted from:
 
 * :class:`SeriesDatapath` — one multiply-accumulate lane reused across
@@ -141,8 +138,7 @@ class CycleStats:
 class LmsState:
     """Tap window and weight vector, held as values, plus the constants.
 
-    ``window`` and ``weights`` read as backend-encoded lists.  Beside the raw
-    window, ``scaled_values`` holds each tap times ``input_scale``.
+    ``window`` and ``weights`` read as backend-encoded lists.
     """
 
     def __init__(self, cfg: LmsConfig, backend):
@@ -152,12 +148,7 @@ class LmsState:
         self.beta = quantized(cfg.beta)
         m = cfg.order
         self.window_values = deque([0.0] * m, maxlen=m)
-        self.scaled_values = deque([backend.vmul(0.0, self.input_scale)] * m, maxlen=m)
         self.weight_values = [0.0] * m
-        # [overflow, underflow, samples left] for each scaled tap whose scaling
-        # raised flags and that later samples still reuse (m - 1 of them).
-        self._replay = []
-        self._reuses = m - 1
         self.ops_per_step = {"add": 2 * m, "sub": 1, "mul": 3 * m + 2}
 
     @property
@@ -171,42 +162,19 @@ class LmsState:
     def update(self, x: float, d: float) -> tuple[float, float]:
         """One-sample update on values; returns ``(e, y)``.
 
-        Only the entering sample is scaled; the other m - 1 taps reuse their
-        scaled values, and any flags their scaling raised are counted again,
-        so flag totals after every sample equal those of a step that scales
-        every tap afresh.  The caller meters the 5m + 3 ops that step issues
-        (``ops_per_step``), reused scalings included.
+        Scales every tap of the window afresh, as the datapath does, so each
+        scaling raises its flags on every sample its tap is in the window.
+        The caller meters the 5m + 3 ops of the step (``ops_per_step``).
         """
         bk = self.backend
         mul, add = bk.vmul, bk.vadd
-        flags = bk.flags
-        if self._replay:
-            self._replay_flags()
-        overflow, underflow = flags.overflow, flags.underflow
         self.window_values.appendleft(x)
-        sx = self.scaled_values
-        sx.appendleft(mul(x, self.input_scale))
-        if (flags.overflow != overflow or flags.underflow != underflow) and self._reuses:
-            self._replay.append([flags.overflow - overflow, flags.underflow - underflow, self._reuses])
+        sx = [mul(tap, self.input_scale) for tap in self.window_values]
         y = reduce(add, map(mul, sx, self.weight_values), 0.0)
         e = bk.vsub(mul(d, self.desired_scale), y)
         be = mul(self.beta, e)
         self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
         return e, y
-
-    def _replay_flags(self) -> None:
-        """Count the flags of each reused flagged tap's scaling once more."""
-        flags = self.backend.flags
-        for tap in self._replay:
-            flags.overflow += tap[0]
-            flags.underflow += tap[1]
-            tap[2] -= 1
-        self._replay = [tap for tap in self._replay if tap[2]]
-
-
-def scale(backend, sample, factor):
-    """Channel scaling: one multiply on the datapath."""
-    return backend.mul(sample, factor)
 
 
 def lms_step(state: LmsState, x_new, d_new):
@@ -294,8 +262,7 @@ def run_canceller(datapath, x_samples, d_samples):
 def _run_blocks(state: LmsState, x_values: np.ndarray, d_values: np.ndarray):
     """Error values and the first flagged sample, ``BLOCK`` samples at a time.
 
-    Each block runs through :class:`_BlockKernel`.  A block it rejects, and
-    a block that starts while a flagged scaling is still being reused, runs
+    Each block runs through :class:`_BlockKernel`.  A block it rejects runs
     through :meth:`LmsState.update` from the same state instead, so every
     flag is raised on the exact path.
     """
@@ -309,7 +276,7 @@ def _run_blocks(state: LmsState, x_values: np.ndarray, d_values: np.ndarray):
         for start in range(0, n, BLOCK):
             x, d = x_values[start : start + BLOCK], d_values[start : start + BLOCK]
             out = errors[start : start + BLOCK]
-            if not state._replay and kernel.run(x, d, out):
+            if kernel.run(x, d, out):
                 continue
             for i, xi, di in zip(range(len(out)), x.tolist(), d.tolist()):
                 out[i] = state.update(xi, di)[0]
@@ -331,6 +298,9 @@ class _BlockKernel:
     sample, so that on a backend with a ``block_range`` one bulk check can
     rebuild the exact result of each op and reject the block if any lies
     outside it.  A block is committed to the state only if it is accepted.
+    Each tap is scaled once per block: a multiply depends only on its
+    operands, so every sample reads the value its own scaling would give,
+    and an accepted block has no scaling that raises a flag.
     """
 
     def __init__(self, state: LmsState):
@@ -341,8 +311,9 @@ class _BlockKernel:
         self.input_scale, self.desired_scale, self.beta = (
             dt(state.input_scale), dt(state.desired_scale), dt(state.beta)
         )
-        # Scaled taps, newest first: the block's samples, then the m - 1 it
-        # inherits.  Row j of ``windows`` is taps[j : j + m].
+        # Raw and scaled taps, newest first: the block's samples, then the
+        # m - 1 it inherits.  Row j of ``windows`` is taps[j : j + m].
+        self.raw_taps = np.zeros(BLOCK + m - 1, dt)
         self.taps = np.zeros(BLOCK + m - 1, dt)
         self.windows = np.lib.stride_tricks.sliding_window_view(self.taps, m)
         self.products = np.zeros((BLOCK, m + 1), dt)  # column 0 stays +0: the sum's start
@@ -357,7 +328,7 @@ class _BlockKernel:
             if not available:
                 return False
             sd, e, be = self.compute(x, d)
-        if bk.block_range is not None and not self.in_range(x, d, sd, e, be, *bk.block_range):
+        if bk.block_range is not None and not self.in_range(d, sd, e, be, *bk.block_range):
             return False
         self.commit(x, len(d))
         out[:] = e
@@ -368,8 +339,10 @@ class _BlockKernel:
         st, n, m = self.state, len(d), self.order
         dt = self.taps.dtype
         multiply, add, accumulate = np.multiply, np.add, np.add.accumulate
-        self.taps[n : n + m - 1] = list(islice(st.scaled_values, m - 1))
-        multiply(x[::-1].astype(dt), self.input_scale, out=self.taps[:n])
+        raw = self.raw_taps[: n + m - 1]
+        raw[:n] = x[::-1]
+        raw[n:] = list(islice(st.window_values, m - 1))
+        multiply(raw, self.input_scale, out=self.taps[: n + m - 1])
         sd = multiply(d.astype(dt), self.desired_scale)
         self.weights[0] = st.weight_values
         beta = self.beta
@@ -385,7 +358,7 @@ class _BlockKernel:
         e = sd - self.sums[:n, m]
         return sd, e, beta * e
 
-    def in_range(self, x, d, sd, e, be, lo, hi) -> bool:
+    def in_range(self, d, sd, e, be, lo, hi) -> bool:
         """Whether each op's exact result is zero or has a magnitude in [lo, hi).
 
         Each op is redone in float64.  Products of two float32 values are
@@ -395,7 +368,7 @@ class _BlockKernel:
         n, m = len(d), self.order
         wins, weights, sums = self.windows[n - 1 :: -1], self.weights[:n], self.sums[:n]
         ops = (
-            (np.multiply, x, self.input_scale),
+            (np.multiply, self.raw_taps[: n + m - 1], self.input_scale),
             (np.multiply, d, self.desired_scale),
             (np.multiply, wins, weights),
             (np.add, sums[:, :-1], self.products[:n, 1:]),
@@ -414,5 +387,4 @@ class _BlockKernel:
         """Leave the state as :meth:`LmsState.update` would after the block."""
         st = self.state
         st.window_values.extendleft(x.tolist())
-        st.scaled_values.extendleft(self.taps[n - 1 :: -1].tolist())
         st.weight_values = self.weights[n].tolist()

@@ -128,9 +128,9 @@ def _toward_zero():
 class OpMeter(dict):
     """Backend operations issued, by method name; starts at zero.
 
-    It counts the ops of the modelled step, not the calls a kernel makes: the
-    LMS kernel reuses each tap's scaling from the sample it entered on, and
-    the meter still counts a scaling per tap per sample, as issued.
+    It counts the ops of the modelled step, not the calls a kernel makes:
+    scalar value ops count nothing themselves, and the LMS kernels' callers
+    tally the 5m + 3 ops per sample that the datapath issues.
     """
 
     def __init__(self):

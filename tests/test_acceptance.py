@@ -36,21 +36,11 @@ MAX_NORMAL = 3.4028234663852886e38
 
 
 class TestCriterion1FpuDifferential:
-    def test_million_pair_differential(self):
-        from fhrmon.fpu import fpu_add, fpu_mul, fpu_sub
-
-        n = 1_000_000
-        rng = np.random.default_rng(20240601)
-        a_words = random_normal_words(rng, n)
-        b_words = random_normal_words(rng, n)
-        a_list = a_words.tolist()
-        b_list = b_words.tolist()
-
-        t0 = time.perf_counter()
-        got_add = [fpu_add(a, b) for a, b in zip(a_list, b_list)]
-        got_sub = [fpu_sub(a, b) for a, b in zip(a_list, b_list)]
-        got_mul = [fpu_mul(a, b) for a, b in zip(a_list, b_list)]
-        elapsed = time.perf_counter() - t0
+    def test_million_pair_differential(self, million_pairs):
+        # the pairs and the timed fpu calls are shared with tests/test_numeric.py
+        a_words, b_words = million_pairs.a, million_pairs.b
+        got_add, got_sub, got_mul = (million_pairs.words[k] for k in ("add", "sub", "mul"))
+        elapsed = million_pairs.elapsed
 
         mismatches = 0
         for got, oracle in (
@@ -58,7 +48,7 @@ class TestCriterion1FpuDifferential:
             (got_sub, oracle_add(a_words, b_words, subtract=True)),
             (got_mul, oracle_mul(a_words, b_words)),
         ):
-            mismatches += int(np.count_nonzero(np.array(got, dtype=np.uint32) != oracle))
+            mismatches += int(np.count_nonzero(got != oracle))
 
         # ULP distance against correctly rounded float32, where the exact
         # result lands in the normal range
@@ -73,10 +63,7 @@ class TestCriterion1FpuDifferential:
             ):
                 in_range = (np.abs(exact) >= MIN_NORMAL) & (np.abs(exact) <= MAX_NORMAL)
                 rounded = exact.astype(np.float32).view(np.uint32)
-                d = np.abs(
-                    ordered_ints(np.array(got, dtype=np.uint32)[in_range])
-                    - ordered_ints(rounded[in_range])
-                )
+                d = np.abs(ordered_ints(got[in_range]) - ordered_ints(rounded[in_range]))
                 checked += int(np.count_nonzero(in_range))
                 max_ulp = max(max_ulp, int(d.max()))
 

@@ -24,7 +24,6 @@ from fhrmon.lms import (
     lms_step,
     make_datapath,
     parallel_fpu_instances,
-    scale,
 )
 from fhrmon.numeric import make_backend, quantized
 
@@ -143,11 +142,11 @@ class TestScaling:
     def test_scale_identity(self):
         bk = make_backend("soft")
         w = bk.encode(1.375)
-        assert scale(bk, w, bk.encode(1.0)) == w
+        assert bk.mul(w, bk.encode(1.0)) == w
 
     def test_scale_half(self):
         bk = make_backend("soft")
-        assert scale(bk, bk.encode(2.0), bk.encode(0.5)) == bk.encode(1.0)
+        assert bk.mul(bk.encode(2.0), bk.encode(0.5)) == bk.encode(1.0)
 
     def test_factors_are_powers_of_two(self):
         rng = np.random.default_rng(8)
@@ -450,12 +449,23 @@ class TestBlockKernel:
         rng = np.random.default_rng(88)
         n = 3 * self.B + 100
         x, d = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
-        if case == "replay_pending":
-            # one scaling flushes near the end of block 0 and its tap is reused
-            # into block 1, so both blocks take the exact path
+        if case in ("replay_pending", "inherited_flush_zero_weights"):
+            # one scaling flushes near the end of block 0 and its tap is
+            # inherited by block 1, whose check rescales it: both blocks take
+            # the exact path.  With zero desired samples the weights, errors
+            # and products stay zero, so that rescaling is the only check
+            # block 1 fails.
             cfg = LmsConfig(input_scale=2.0**-20)
             x[self.B - 3] = 2.0**-110
+            if case == "inherited_flush_zero_weights":
+                d[:] = 0.0
             exact = 2 * self.B
+        elif case == "flushed_tap_leaves":
+            # the flushed scaling's tap leaves the window inside block 0, so
+            # block 1 inherits no flagged tap and runs in the kernel
+            cfg = LmsConfig(input_scale=2.0**-20)
+            x[self.B - cfg.order - 5] = 2.0**-110
+            exact = self.B
         elif case == "subnormal_product":
             # 2^-76 * 2^-64 = 2^-140 is an exact float32 subnormal: IEEE raises
             # no underflow for it, fpu_mul flushes it
@@ -483,7 +493,8 @@ class TestBlockKernel:
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     @pytest.mark.parametrize(
         "case",
-        ["record", "ragged", "saturating", "flushing", "replay_pending", "subnormal_product",
+        ["record", "ragged", "saturating", "flushing", "replay_pending",
+         "inherited_flush_zero_weights", "flushed_tap_leaves", "subnormal_product",
          "flushed_product", "negative_zero_row", "order_one"],
     )  # fmt: skip
     @pytest.mark.parametrize("datapath", [SeriesDatapath, ParallelDatapath])
@@ -504,10 +515,8 @@ class TestBlockKernel:
         assert run_dp.stats == loop_dp.stats
         assert run_dp.stats.samples_processed == len(xw)
         for got, ref in ((run_dp.state.window, loop_dp.state.window),
-                         (run_dp.state.weights, loop_dp.state.weights),
-                         (list(run_dp.state.scaled_values), list(loop_dp.state.scaled_values))):
+                         (run_dp.state.weights, loop_dp.state.weights)):
             np.testing.assert_array_equal(bit_patterns(got), bit_patterns(ref))
-        assert run_dp.state._replay == loop_dp.state._replay
         # the float64 backend raises no flags and checks no range: no exact path
         assert updates[0] == (exact if backend == "soft" else 0)
         if case == "negative_zero_row":

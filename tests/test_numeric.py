@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -59,18 +58,14 @@ def _pairs(a, b):
 
 
 class TestSoftBackendDifferential:
-    def test_million_pairs_match_fpu(self):
+    def test_million_pairs_match_fpu(self, million_pairs):
         # criterion 1's seeded pairs, through the backend methods
-        n = 1_000_000
-        rng = np.random.default_rng(20240601)
-        a = random_normal_words(rng, n).tolist()
-        b = random_normal_words(rng, n).tolist()
-        for name, oracle in ORACLES.items():
+        a, b = million_pairs.a.tolist(), million_pairs.b.tolist()
+        for name in ORACLES:
             backend = SoftF32Backend()
-            ref_flags = FpuFlags()
+            ref_flags = million_pairs.flags[name]
             got = list(map(getattr(backend, name), a, b))
-            want = list(map(oracle, a, b, repeat(ref_flags)))
-            assert got == want, name
+            assert got == million_pairs.words[name].tolist(), name
             assert backend.flags == ref_flags, name
             assert ref_flags.any()  # the random exponents do leave the range
 
@@ -194,15 +189,12 @@ def _exponent_limit_pairs():
 class TestValueOpsDifferential:
     """The scalar and bulk value ops against ``fpu_*`` on the same data sets."""
 
-    def test_million_pairs_match_fpu(self):
+    def test_million_pairs_match_fpu(self, million_pairs):
         # criterion 1's seeded pairs
-        rng = np.random.default_rng(20240601)
-        n = 1_000_000
-        a = random_normal_words(rng, n)
-        b = random_normal_words(rng, n)
-        for name, oracle in ORACLES.items():
-            ref_flags = FpuFlags()
-            want = list(map(oracle, a.tolist(), b.tolist(), repeat(ref_flags)))
+        a, b = million_pairs.a, million_pairs.b
+        for name in ORACLES:
+            ref_flags = million_pairs.flags[name]
+            want = million_pairs.words[name].tolist()
             scalar, bulk = SoftF32Backend(), SoftF32Backend()
             a_vals, b_vals = scalar.to_values(a), scalar.to_values(b)
             got = list(map(getattr(scalar, f"v{name}"), a_vals.tolist(), b_vals.tolist()))
@@ -268,25 +260,20 @@ class TestRoundTowardZeroArithmetic:
 
     N = 250_000
 
-    def test_seeded_pairs_match_fpu_where_in_range(self):
+    def test_seeded_pairs_match_fpu_where_in_range(self, million_pairs):
         # the first pairs of criterion 1's seeded million
-        rng = np.random.default_rng(20240601)
-        a = random_normal_words(rng, 1_000_000)[: self.N]
-        b = random_normal_words(rng, 1_000_000)[: self.N]
-        a32, b32 = a.view(np.float32), b.view(np.float32)
+        a32 = million_pairs.a[: self.N].view(np.float32)
+        b32 = million_pairs.b[: self.N].view(np.float32)
         with _rounding_scope() as available, np.errstate(all="ignore"):
             assert available
             sums, products = (a32 + b32).view(np.uint32), (a32 * b32).view(np.uint32)
         a64, b64 = a32.astype(np.float64), b32.astype(np.float64)
         # results from 2^-126 up to, not including, the largest normal magnitude
-        for name, got, exact, oracle in (
-            ("add", sums, a64 + b64, fpu_add),
-            ("mul", products, a64 * b64, fpu_mul),
-        ):
+        for name, got, exact in (("add", sums, a64 + b64), ("mul", products, a64 * b64)):
             mag = np.abs(exact)
             in_range = np.flatnonzero((mag == 0) | ((mag >= 2.0**-126) & (mag < 2.0**128 - 2.0**104)))
             assert len(in_range) > self.N // 3, name
-            want = list(map(oracle, a[in_range].tolist(), b[in_range].tolist()))
+            want = million_pairs.words[name][in_range].tolist()  # fpu_<name> on those pairs
             assert got[in_range].tolist() == want, name
 
     def test_signed_zeros(self):
