@@ -76,6 +76,14 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 
+def _checked(build, data: dict):
+    """``build(data)``, with an unknown field or out-of-range value as a ConfigError."""
+    try:
+        return build(data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
@@ -89,10 +97,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--input and --synth name two recordings: give one")
         data["synth"] = _read_json(args.synth_path)
         data.pop("input_path", None)
-    try:
-        return RunConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:  # unknown field, out-of-range SynthSpec
-        raise ConfigError(str(exc)) from None
+    return _checked(RunConfig.from_dict, data)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -134,7 +139,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec.from_dict(_read_json(args.spec)) if args.spec else SynthSpec()
+    spec = _checked(SynthSpec.from_dict, _read_json(args.spec) if args.spec else {})
     if args.seed is not None:
         spec = SynthSpec.from_dict({**spec.to_dict(), "seed": args.seed})
     rec = generate_synthetic(spec)

@@ -39,7 +39,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .numeric import quantized
+from .numeric import out_of_range, quantized
 
 DEFAULT_ORDER = 19
 DEFAULT_STEP_SIZE = 7e-5
@@ -359,12 +359,7 @@ class _BlockKernel:
         return sd, e, beta * e
 
     def in_range(self, d, sd, e, be, lo, hi) -> bool:
-        """Whether each op's exact result is zero or has a magnitude in [lo, hi).
-
-        Each op is redone in float64.  Products of two float32 values are
-        exact there; a float64 sum of two is exact below 2^-125 and rounds
-        monotonically, so it leaves [lo, hi) exactly when the exact sum does.
-        """
+        """Whether no op's result, redone in float64, is :func:`out_of_range`."""
         n, m = len(d), self.order
         wins, weights, sums = self.windows[n - 1 :: -1], self.weights[:n], self.sums[:n]
         ops = (
@@ -377,11 +372,7 @@ class _BlockKernel:
             (np.multiply, be[:, None], wins),
             (np.add, weights, self.terms[:n]),
         )
-        for op, a, b in ops:
-            mag = np.abs(op(a, b, dtype=np.float64))
-            if not (((mag >= lo) & (mag < hi)) | (mag == 0.0)).all():
-                return False
-        return True
+        return not any(out_of_range(op(a, b, dtype=np.float64), lo, hi).any() for op, a, b in ops)
 
     def commit(self, x, n: int) -> None:
         """Leave the state as :meth:`LmsState.update` would after the block."""

@@ -15,22 +15,22 @@ Each backend offers three forms of add/sub/mul:
   path a float32 is carried as the exact double that holds it: a product is
   exact in a double and is truncated to 24 bits; a sum is rounded, and its
   exact residual (TwoSum) says whether the truncated sum is one step lower.
-* bulk ops ``bulk_add``/``bulk_sub``/``bulk_mul`` on numpy arrays, elementwise
-  and bit-identical to the scalar value ops.
+* bulk ops ``bulk_add``/``bulk_sub``/``bulk_mul`` on numpy arrays of values.
 
 Whole streams cross between words and values with ``to_values``/``to_words``
-and enter from raw samples through ``ingest``.  On the soft path, any result
-outside the normal range [2^-126, max normal], and any operand word that is
-not a normal number, goes to the unchanged ``fpu_*`` function for that
-element alone, so saturation/flush flags and ``OperandError`` messages come
-from :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
+and enter from raw samples through ``ingest``.
 
-Block kernels run whole vectors of float32 (soft) or float64 ops in numpy
-inside the backend's ``rounding_scope()``.  On the soft path the scope sets
-the C library's rounding mode to round-toward-zero, in which IEEE float32
+Bulk ops and block kernels run whole vectors in the backend's ``block_dtype``
+inside its ``rounding_scope()``.  On the soft path the scope sets the C
+library's rounding mode to round-toward-zero, in which IEEE float32
 arithmetic is the fpu's truncation wherever a result stays in the normal
-range; ``block_range`` names that range so a kernel can check its results
-and redo out-of-range work on the value ops.
+range, ``block_range``.  :func:`out_of_range` is the one check of that range:
+every result it flags, and every result when the scope is unavailable, is
+redone on the exact path.  There, any result outside the normal range
+[2^-126, max normal], and any operand word that is not a normal number, goes
+to the unchanged ``fpu_*`` function for that element alone, so
+saturation/flush flags and ``OperandError`` messages come from
+:mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
 
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
@@ -65,11 +65,9 @@ _OVERFLOW = 2.0**128  # an exact result this large saturates
 _SPLIT = 2.0**29 + 1  # Veltkamp: t = x * _SPLIT; t - (t - x) is x rounded to 24 bits
 _ULP24 = 2.0**29  # math.ulp(x) * _ULP24: float32 spacing in the binade of x
 _POW2_ULP24 = 2.0**-23  # the float32 spacing at x is x * this iff x is a power of two
-_LOW29 = np.uint64((1 << 29) - 1)  # double fraction bits below a float32's 23
-_STEP24 = np.uint64(1 << 29)  # one float32 step, on a double's bit pattern
 
 # fesetround's FE_TOWARDZERO by machine; on any other machine the soft
-# rounding scope is unavailable and block kernels fall back to the value ops.
+# rounding scope is unavailable and vector work falls back to the exact path.
 _FE_TOWARDZERO = {"x86_64": 0xC00, "aarch64": 0xC00000}
 _LIBM = "libm.so.6"  # glibc's; elsewhere loading it fails and the scope is unavailable
 # (fesetround, fegetround, FE_TOWARDZERO) once loaded and probed, False once
@@ -125,6 +123,16 @@ def _toward_zero():
         setter(previous)
 
 
+def out_of_range(exact, lo: float, hi: float) -> np.ndarray:
+    """Where exact results are nonzero with a magnitude outside [lo, hi), or NaN.
+
+    A float64 op on float32 values may stand in for the exact one: a product
+    is exact, and a sum is exact below 2^-125 and rounds monotonically.
+    """
+    mag = np.abs(exact)
+    return ~(((mag >= lo) & (mag < hi)) | (mag == 0.0))
+
+
 class OpMeter(dict):
     """Backend operations issued, by method name; starts at zero.
 
@@ -142,7 +150,43 @@ class OpMeter(dict):
             self[name] += iterations * count
 
 
-class SoftF32Backend:
+class _Backend:
+    """Bulk ops for both backends: ``block_dtype`` under ``rounding_scope()``."""
+
+    def bulk_add(self, a, b) -> np.ndarray:
+        """``vadd`` elementwise; either operand may be a scalar."""
+        return self._bulk("add", np.add, fpu.fpu_add, a, b)
+
+    def bulk_sub(self, a, b) -> np.ndarray:
+        """``vsub`` elementwise."""
+        return self._bulk("sub", np.subtract, fpu.fpu_sub, a, b)
+
+    def bulk_mul(self, a, b) -> np.ndarray:
+        """``vmul`` elementwise; either operand may be a scalar."""
+        return self._bulk("mul", np.multiply, fpu.fpu_mul, a, b)
+
+    def _bulk(self, name: str, ufunc, oracle, a, b) -> np.ndarray:
+        """``ufunc`` elementwise, metered as ``name``.
+
+        With ``block_range`` set, ``oracle`` redoes each element that
+        :func:`out_of_range` flags, or every element without the scope.
+        """
+        with self.rounding_scope() as available, np.errstate(all="ignore"):
+            out = ufunc(a, b, dtype=self.block_dtype).astype(np.float64, copy=False)
+        self.ops[name] += out.size
+        if self.block_range is None:
+            return out
+        bad = range(out.size)
+        if available:
+            bad = np.flatnonzero(out_of_range(ufunc(a, b, dtype=np.float64), *self.block_range))
+        if len(bad):
+            a, b = np.broadcast_arrays(a, b)
+            for i in bad:
+                out[i] = self._oracle(oracle, float(a[i]), float(b[i]))
+        return out
+
+
+class SoftF32Backend(_Backend):
     """Bit-level float32 arithmetic with an owned flag accumulator and op meter.
 
     ``add``/``sub``/``mul`` return exactly what ``fpu_add``/``fpu_sub``/
@@ -287,45 +331,6 @@ class SoftF32Backend:
         words[0] = op(words[0], words[1], self.flags)
         return values[0]
 
-    # -- bulk ops -------------------------------------------------------------
-
-    def bulk_add(self, a, b) -> np.ndarray:
-        """``vadd`` elementwise; either operand may be a scalar."""
-        return self._bulk_sum("add", a, b)
-
-    def bulk_sub(self, a, b) -> np.ndarray:
-        """``vsub`` elementwise."""
-        return self._bulk_sum("sub", a, np.negative(b))
-
-    def bulk_mul(self, a, b) -> np.ndarray:
-        """``vmul`` elementwise; either operand may be a scalar."""
-        p = np.multiply(a, b)
-        bits = p.view(np.uint64)
-        bits &= ~_LOW29
-        return self._bulk_checked("mul", p, fpu.fpu_mul, a, b)
-
-    def _bulk_sum(self, name: str, a, b) -> np.ndarray:
-        s = np.add(a, b)
-        z = s - a
-        err = (a - (s - z)) + (b - z)  # TwoSum: exactly a + b - s
-        bits = s.view(np.uint64)
-        on_grid = (bits & _LOW29) == 0
-        bits &= ~_LOW29
-        # On the grid with the residual pointing inward: one float32 lower.
-        bits[on_grid & (err != 0) & (np.signbit(err) != np.signbit(s))] -= _STEP24
-        return self._bulk_checked(name, s, fpu.fpu_add, a, b)
-
-    def _bulk_checked(self, name: str, out: np.ndarray, op, a, b) -> np.ndarray:
-        """Redo through ``op`` every element that left the normal range."""
-        self.ops[name] += out.size
-        mag = np.abs(out)
-        bad = np.flatnonzero((mag > _MAX_NORMAL) | ((mag < _MIN_NORMAL) & (mag != 0)))
-        if len(bad):
-            a, b = np.broadcast_arrays(a, b)
-            for i in bad.tolist():
-                out[i] = self._oracle(op, float(a[i]), float(b[i]))
-        return out
-
     # -- whole streams --------------------------------------------------------
 
     def ingest(self, samples) -> np.ndarray:
@@ -354,7 +359,7 @@ class SoftF32Backend:
         return np.asarray(values, dtype=np.float64).astype(np.float32).view(np.uint32).tolist()
 
 
-class Float64Backend:
+class Float64Backend(_Backend):
     """Native double-precision reference arithmetic (test/diagnostic path)."""
 
     name = "float64"
@@ -400,21 +405,6 @@ class Float64Backend:
     def lt(self, a: float, b: float) -> bool:
         self.ops["lt"] += 1
         return a < b
-
-    def bulk_add(self, a, b) -> np.ndarray:
-        out = np.add(a, b)
-        self.ops["add"] += out.size
-        return out
-
-    def bulk_sub(self, a, b) -> np.ndarray:
-        out = np.subtract(a, b)
-        self.ops["sub"] += out.size
-        return out
-
-    def bulk_mul(self, a, b) -> np.ndarray:
-        out = np.multiply(a, b)
-        self.ops["mul"] += out.size
-        return out
 
     @staticmethod
     def to_values(values) -> np.ndarray:

@@ -69,7 +69,6 @@ class RunConfig:
     out_dir: str | None = None
     trace: list[str] = field(default_factory=list)
     convergence_index: int | None = None  # None = min(12000, n // 2)
-    scale_target: float = SCALE_TARGET
 
     def __post_init__(self):
         if (self.input_path is None) == (self.synth is None):
@@ -85,14 +84,20 @@ class RunConfig:
             raise ConfigError(f"cmp_mode must be one of {VALID_CMP_MODES}")
         if self.backend not in VALID_BACKENDS:
             raise ConfigError(f"backend must be one of {VALID_BACKENDS}")
+        for name in ("order", "convergence_index"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
-        for name in ("fs", "mu", "clock_hz", "scale_target"):
+        for name in ("fs", "mu", "clock_hz"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:  # False for NaN too
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.convergence_index is not None and self.convergence_index < 0:
             raise ConfigError(f"convergence_index must be >= 0, got {self.convergence_index}")
+        if not isinstance(self.trace, list):
+            raise ConfigError(f"trace must be a list of stage names, got {self.trace!r}")
         bad = [s for s in self.trace if s not in ("preprocess", "lms", "fhr")]
         if bad:
             raise ConfigError(f"unknown trace stages: {bad}")
@@ -219,8 +224,8 @@ def preprocess_front_end(cfg: RunConfig, rec: Recording, backend) -> FrontEnd:
     abdominal_pp = chain_a.process(rec.channel(cfg.abdominal))
     warmup = chain_t.warmup_samples
 
-    scale_x = lms.choose_scale_factor(backend.to_values(thoracic_pp[warmup:]), cfg.scale_target)
-    scale_d = lms.choose_scale_factor(backend.to_values(abdominal_pp[warmup:]), cfg.scale_target)
+    scale_x = lms.choose_scale_factor(backend.to_values(thoracic_pp[warmup:]), SCALE_TARGET)
+    scale_d = lms.choose_scale_factor(backend.to_values(abdominal_pp[warmup:]), SCALE_TARGET)
     return FrontEnd(thoracic_pp, abdominal_pp, scale_x, scale_d)
 
 

@@ -26,6 +26,7 @@ from fhrmon.lms import (
     parallel_fpu_instances,
 )
 from fhrmon.numeric import make_backend, quantized
+from fhrmon.preprocess import STREAM_BLOCK, PreprocessChain
 
 
 class TestPlainStep:
@@ -542,6 +543,14 @@ class TestRoundingScope:
         dw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, n)]
         return lms.run_canceller(ParallelDatapath(LmsConfig(), bk), xw, dw)
 
+    @staticmethod
+    def preprocess():
+        """Preprocessed words and flag totals of a channel whose bulk ops flush."""
+        bk = make_backend("soft")
+        samples = np.random.default_rng(6).normal(0.0, 1.0, STREAM_BLOCK + 100)
+        samples[::97] = 3e-37  # the low-pass input multiply flushes these
+        return PreprocessChain(bk).process(samples), bk.flags
+
     def test_round_to_nearest_after_return(self):
         assert not truncating()
         self.run()
@@ -579,13 +588,16 @@ class TestRoundingScope:
         ids=["unknown_architecture", "no_fesetround"],
     )
     def test_failed_probe_sends_every_block_through_update(self, patch, monkeypatch):
-        want = self.run()
+        want, want_preprocessed = self.run(), self.preprocess()
+        assert want_preprocessed[1].underflow
         monkeypatch.setattr(numeric, "_rounding", None)
         monkeypatch.setattr(numeric, *patch)
         updates = count_updates(monkeypatch)
         assert self.run() == want
         assert updates[0] == 2 * lms.BLOCK + 9
         assert numeric._rounding is False
+        # the bulk ops, every element redone by fpu_*, give the same words and flags
+        assert self.preprocess() == want_preprocessed
 
     def test_import_does_not_need_ctypes(self):
         # numpy imports ctypes itself, so block it: fhrmon must import and run

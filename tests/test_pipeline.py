@@ -381,10 +381,17 @@ class TestCli:
 
     def test_out_of_range_synth_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"fetal_bpm": 10.0}))
-        rc = cli_main(["run", "--synth", str(spec_path)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: fetal_bpm")
+        csv_path = tmp_path / "synth.csv"
+        for spec, message in (({"fetal_bpm": 10.0}, "error: fetal_bpm"),
+                              ({"bogus": 1}, "error: SynthSpec.__init__() got an unexpected")):
+            spec_path.write_text(json.dumps(spec))
+            for argv in (["run", "--synth", str(spec_path)],
+                         ["synth", "--spec", str(spec_path), "--out", str(csv_path)]):
+                assert cli_main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.err.startswith(message), argv
+                assert captured.out == ""
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -423,13 +430,25 @@ class TestCli:
         assert captured.err == f"error: {field} must be positive and finite, got {value}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("value", ["0", "-16", "NaN", "Infinity"])
-    def test_bad_scale_target_exits_2(self, value, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"order": 19.5', "order must be an integer, got 19.5"),
+            ('"order": true', "order must be an integer, got True"),
+            ('"convergence_index": 1500.5', "convergence_index must be an integer, got 1500.5"),
+            ('"trace": "lms"', "trace must be a list of stage names, got 'lms'"),
+            ('"scale_target": 16', "RunConfig.__init__() got an unexpected keyword argument 'scale_target'"),
+        ],
+        ids=["order_float", "order_bool", "convergence_index_float", "trace_string", "scale_target"],
+    )
+    def test_bad_config_file_exits_2(self, entry, message, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(f'{{"synth": {{"duration_s": 6.0}}, "scale_target": {value}}}')
+        cfg_path.write_text(f'{{"synth": {{"duration_s": 6.0}}, {entry}}}')
         rc = cli_main(["run", "--config", str(cfg_path), "--backend", "float64"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: scale_target must be positive and finite")
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_input_and_synth_flags_together_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
