@@ -437,9 +437,8 @@ class TestCli:
             ('"order": true', "order must be an integer, got True"),
             ('"convergence_index": 1500.5', "convergence_index must be an integer, got 1500.5"),
             ('"trace": "lms"', "trace must be a list of stage names, got 'lms'"),
-            ('"scale_target": 16', "RunConfig.__init__() got an unexpected keyword argument 'scale_target'"),
         ],
-        ids=["order_float", "order_bool", "convergence_index_float", "trace_string", "scale_target"],
+        ids=["order_float", "order_bool", "convergence_index_float", "trace_string"],
     )
     def test_bad_config_file_exits_2(self, entry, message, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -448,6 +447,17 @@ class TestCli:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-16", "NaN", "Infinity"])
+    def test_bad_scale_target_exits_2(self, value, tmp_path, capsys):
+        # the front end always scales to SCALE_TARGET; a config file may not set it at all
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"synth": {{"duration_s": 6.0}}, "scale_target": {value}}}')
+        rc = cli_main(["run", "--config", str(cfg_path), "--backend", "float64"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: RunConfig.__init__() got an unexpected keyword argument 'scale_target'\n"
         assert captured.out == ""
 
     def test_input_and_synth_flags_together_exit_2(self, tmp_path, capsys):
