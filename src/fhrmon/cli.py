@@ -69,11 +69,14 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _checked(build, data: dict):
@@ -139,9 +142,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = _checked(SynthSpec.from_dict, _read_json(args.spec) if args.spec else {})
+    data = _read_json(args.spec) if args.spec else {}
     if args.seed is not None:
-        spec = SynthSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+        data["seed"] = args.seed
+    spec = _checked(SynthSpec.from_dict, data)
     rec = generate_synthetic(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -119,6 +119,8 @@ class SynthSpec:
                 raise ValueError(f"{name} must be nonnegative")
         if not (0 < self.duration_s < math.inf and 0 < self.fs < math.inf):
             raise ValueError("duration_s and fs must be positive and finite")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -39,7 +39,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .numeric import out_of_range, quantized
+from .numeric import any_out_of_range, quantized
 
 DEFAULT_ORDER = 19
 DEFAULT_STEP_SIZE = 7e-5
@@ -359,7 +359,7 @@ class _BlockKernel:
         return sd, e, beta * e
 
     def in_range(self, d, sd, e, be, lo, hi) -> bool:
-        """Whether no op's result, redone in float64, is :func:`out_of_range`."""
+        """Whether no op's result, redone in float64, is out of range."""
         n, m = len(d), self.order
         wins, weights, sums = self.windows[n - 1 :: -1], self.weights[:n], self.sums[:n]
         ops = (
@@ -372,7 +372,7 @@ class _BlockKernel:
             (np.multiply, be[:, None], wins),
             (np.add, weights, self.terms[:n]),
         )
-        return not any(out_of_range(op(a, b, dtype=np.float64), lo, hi).any() for op, a, b in ops)
+        return not any_out_of_range(ops, lo, hi)
 
     def commit(self, x, n: int) -> None:
         """Leave the state as :meth:`LmsState.update` would after the block."""

@@ -32,6 +32,19 @@ to the unchanged ``fpu_*`` function for that element alone, so
 saturation/flush flags and ``OperandError`` messages come from
 :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
 
+Scalar recursions, in which each sample needs the one before (the
+preprocessing filters' output feedback, the running means), run through
+:meth:`_Backend.recur`, ``STREAM_BLOCK`` samples at a time.  On the soft path,
+inside the rounding scope, each op is the Python double op followed by a store
+into and a load from an ``array("f")`` slot.  That C cast to float32 obeys the
+rounding mode; a product of two float32 values is exact in a double, and a sum
+truncated to 53 bits and then to 24 is the sum truncated to 24, so every
+result in the normal range is the fpu's word.  The cast itself flags nothing
+(an overflow gives max normal, a subnormal stays), so after each block every
+op's exact result is rebuilt in bulk from the block's outputs and checked with
+:func:`out_of_range`.  A block with any op outside the range, and every block
+without the scope, reruns on the value ops from its starting state.
+
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
 word method adds 1 per call, a bulk op adds its element count, and a stage
@@ -58,6 +71,12 @@ OP_NAMES = ("add", "sub", "mul", "gt", "lt")
 # Sign-and-exponent fields (word >> 23) of the nonzero normal 32-bit words;
 # only those operands take the value path in the soft word methods.
 _NORMAL_FIELDS = frozenset(h for h in range(512) if 0 < h & 0xFF < 255)
+
+# Samples per block of a stage-major pass (PreprocessChain.process) and of a
+# scalar recursion's cast loop.  Numpy temporaries of this size (32 KiB) are
+# reused block after block; whole-channel ones fragment the heap and raise
+# peak RSS by about 1 MB.
+STREAM_BLOCK = 4096
 
 _MIN_NORMAL = 2.0**-126
 _MAX_NORMAL = fpu.decode(fpu.MAX_NORMAL_MAG)
@@ -133,6 +152,14 @@ def out_of_range(exact, lo: float, hi: float) -> np.ndarray:
     return ~(((mag >= lo) & (mag < hi)) | (mag == 0.0))
 
 
+def any_out_of_range(ops, lo: float, hi: float) -> bool:
+    """Whether any ``(ufunc, a, b)`` of ``ops``, redone in float64, is :func:`out_of_range`.
+
+    ``ops`` may be a generator: it is consumed only up to the first such op.
+    """
+    return any(out_of_range(op(a, b, dtype=np.float64), lo, hi).any() for op, a, b in ops)
+
+
 class OpMeter(dict):
     """Backend operations issued, by method name; starts at zero.
 
@@ -151,7 +178,7 @@ class OpMeter(dict):
 
 
 class _Backend:
-    """Bulk ops for both backends: ``block_dtype`` under ``rounding_scope()``."""
+    """Bulk ops and scalar recursions for both backends."""
 
     def bulk_add(self, a, b) -> np.ndarray:
         """``vadd`` elementwise; either operand may be a scalar."""
@@ -184,6 +211,35 @@ class _Backend:
             for i in bad:
                 out[i] = self._oracle(oracle, float(a[i]), float(b[i]))
         return out
+
+    def recur(self, stage, inputs, state):
+        """``stage``'s scalar recursion over the equal-length arrays ``inputs``.
+
+        Returns the outputs and the state after the last sample.  The stage
+        runs one block from ``state`` as ``value_loop(state, *block)`` on the
+        value ops or as ``cast_loop(state, *block)`` on float32 casts, each
+        returning its outputs (an ``array("d")``) and end state; and
+        ``replay(state, outputs, *block)`` yields every op of the cast loop
+        as ``(ufunc, a, b)``, rebuilt in bulk from its outputs.  Only a
+        backend with a ``block_range`` runs the cast loop (see the module
+        docstring).
+        """
+        outputs = np.empty(len(inputs[0]))
+        for start in range(0, len(outputs), STREAM_BLOCK):
+            block = [x[start : start + STREAM_BLOCK] for x in inputs]
+            out, state = self._recur_block(stage, state, block)
+            outputs[start : start + len(out)] = np.frombuffer(out)
+        return outputs, state
+
+    def _recur_block(self, stage, state, block):
+        if self.block_range is not None:
+            with self.rounding_scope() as available, np.errstate(all="ignore"):
+                if available:
+                    out, end = stage.cast_loop(state, *block)
+                    replay = stage.replay(state, np.frombuffer(out), *block)
+                    if not any_out_of_range(replay, *self.block_range):
+                        return out, end
+        return stage.value_loop(state, *block)
 
 
 class SoftF32Backend(_Backend):
@@ -461,18 +517,39 @@ class RunningMean:
     def run(self, values: np.ndarray) -> np.ndarray:
         """:meth:`step` over a whole stream of values, returning the means."""
         bk = self.backend
-        vadd, vsub = bk.vadd, bk.vsub
         window = self.ring.maxlen
         scaled = bk.bulk_mul(values, bk.decode(self._inv))
         # Sample k evicts element k of the ring followed by the scaled stream.
         queue = np.concatenate([bk.to_values(list(self.ring)), scaled])
-        mean = bk.decode(self.mean)
-        means = array("d")
-        append = means.append
-        for new, old in zip(memoryview(scaled), memoryview(queue)):
-            mean = vsub(vadd(mean, new), old)
-            append(mean)
+        means, mean = bk.recur(self, (scaled, queue[: len(scaled)]), bk.decode(self.mean))
         bk.ops.tally(len(scaled), add=1, sub=1)
         self.ring.extend(bk.to_words(queue[-window:]))
         self.mean = bk.encode(mean)
-        return np.frombuffer(means, dtype=np.float64)
+        return means
+
+    # -- one block of the recursion, in the forms _Backend.recur runs ---------
+
+    def value_loop(self, mean: float, new, old):
+        vadd, vsub = self.backend.vadd, self.backend.vsub
+        means = array("d")
+        append = means.append
+        for n, o in zip(memoryview(new), memoryview(old)):
+            mean = vsub(vadd(mean, n), o)
+            append(mean)
+        return means, mean
+
+    def cast_loop(self, mean: float, new, old):
+        slot = array("f", [0.0])
+        means = array("d")
+        append = means.append
+        for n, o in zip(memoryview(new), memoryview(old)):
+            slot[0] = mean + n
+            slot[0] = slot[0] - o
+            mean = slot[0]
+            append(mean)
+        return means, mean
+
+    def replay(self, mean: float, means, new, old):
+        previous = np.concatenate([[mean], means[:-1]]).astype(np.float32)
+        yield np.add, previous, new
+        yield np.subtract, np.add(previous, new, dtype=np.float32), old

@@ -22,19 +22,22 @@ Every stage has two forms with the same op order: ``step`` consumes one
 backend-encoded sample (the word-level reference), and ``run`` consumes a
 whole stream of values.  :meth:`PreprocessChain.process` runs stage-major
 over blocks of the channel: each stage's feed-forward terms as bulk ops over
-the block, its recursion as a scalar loop of value ops, then the next stage.
-Each form leaves the stage's state as the other would, held as backend words.
+the block, its recursion as a scalar loop, then the next stage.  On the soft
+backend that loop casts each op's double result to float32 under
+round-toward-zero, and a bulk replay of the block's ops from its outputs
+checks that every one stayed in the normal range; a block that fails, or any
+block where the rounding mode cannot be set, reruns on the value ops (see
+:mod:`fhrmon.numeric`).  Each form leaves the stage's state as the other
+would, held as backend words.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from functools import reduce
 
 import numpy as np
 
-from .numeric import RunningMean, quantized
+from .numeric import STREAM_BLOCK, RunningMean, quantized
 
 # Low-pass recursion constants (output-feedback form, fs = 1 kHz design).
 LOWPASS_INPUT_COEFFS = (0.00308,)
@@ -47,11 +50,6 @@ NOTCH_OUTPUT_COEFFS = (1.31272, -0.98804)
 
 BASELINE_WINDOW = 200  # samples per moving-average stage
 
-# Samples per stage-major pass of PreprocessChain.process.  Its numpy
-# temporaries (32 KiB at this size) are then reused block after block;
-# whole-channel ones fragment the heap and raise peak RSS by about 1 MB.
-STREAM_BLOCK = 4096
-
 
 class IirFilter:
     """Difference-equation filter with input and output delay lines."""
@@ -62,6 +60,7 @@ class IirFilter:
         self.output_coeffs = [backend.encode(quantized(c)) for c in output_coeffs]
         self._n_in = len(self.input_coeffs) - 1
         self._n_out = len(self.output_coeffs)
+        self._feedback = [backend.decode(c) for c in self.output_coeffs]
         self.reset()
 
     def reset(self) -> None:
@@ -85,7 +84,6 @@ class IirFilter:
     def run(self, values: np.ndarray) -> np.ndarray:
         """:meth:`step` over a whole stream of values, returning the outputs."""
         bk = self.backend
-        vadd, vmul = bk.vadd, bk.vmul
         dec = bk.decode
         n_in = self._n_in
         # Input terms, as bulk ops; x[k - j] for j > k comes from the history.
@@ -96,17 +94,54 @@ class IirFilter:
                 acc = bk.bulk_add(acc, bk.bulk_mul(dec(coeff), past[n_in - j : len(past) - j]))
             self.input_history = bk.to_words(past[: -n_in - 1 : -1])
         # Output terms, a recursion: one scalar pass, newest output first.
-        coeffs = [dec(c) for c in self.output_coeffs]
-        history = deque(bk.to_values(self.output_history).tolist(), maxlen=self._n_out)
-        out = array("d")
-        append, push = out.append, history.appendleft
-        for a in memoryview(acc):
-            a = reduce(vadd, map(vmul, coeffs, history), a)
-            push(a)
-            append(a)
+        history = bk.to_values(self.output_history).tolist()
+        out, history = bk.recur(self, (acc,), history)
         bk.ops.tally(len(acc), add=self._n_out, mul=self._n_out)
-        self.output_history = bk.to_words(list(history))
-        return np.frombuffer(out, dtype=np.float64)
+        self.output_history = bk.to_words(history)
+        return out
+
+    # -- one block of the recursion, in the forms _Backend.recur runs ---------
+    # Both loops extend the history, oldest first, with the block's outputs,
+    # so that past[j] (j = -1, -2, ...) is the output -j samples back.
+
+    def _delay_line(self, history: list):
+        """The history as that buffer, and each feedback coefficient with its j."""
+        n = self._n_out
+        return array("d", history[::-1]), list(zip(self._feedback, range(-1, -n - 1, -1)))
+
+    def value_loop(self, history: list, acc):
+        vadd, vmul = self.backend.vadd, self.backend.vmul
+        past, taps = self._delay_line(history)
+        append = past.append
+        for a in memoryview(acc):
+            for coeff, j in taps:
+                a = vadd(a, vmul(coeff, past[j]))
+            append(a)
+        return past[self._n_out :], past[: -self._n_out - 1 : -1].tolist()
+
+    def cast_loop(self, history: list, acc):
+        slot = array("f", [0.0])
+        past, taps = self._delay_line(history)
+        append = past.append
+        for a in memoryview(acc):
+            for coeff, j in taps:
+                slot[0] = coeff * past[j]
+                slot[0] = a + slot[0]
+                a = slot[0]
+            append(a)
+        return past[self._n_out :], past[: -self._n_out - 1 : -1].tolist()
+
+    def replay(self, history: list, out, acc):
+        n = self._n_out
+        # past[n - j + k] is the output k - j: the history, oldest first, then out
+        past = np.concatenate([history[::-1], out]).astype(np.float32)
+        total = acc.astype(np.float32)
+        for j, coeff in enumerate(map(np.float32, self._feedback), 1):
+            delayed = past[n - j : len(past) - j]
+            product = coeff * delayed
+            yield np.multiply, coeff, delayed
+            yield np.add, total, product
+            total = total + product
 
     def frequency_response(self, freq_hz: float, fs: float) -> complex:
         """Transfer function H(e^{jw}) evaluated from the quantized constants."""

@@ -247,6 +247,11 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError):
             SynthSpec(duration_s=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 3.0, True, "7", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SynthSpec(seed=seed)
+
     def test_spec_dict_roundtrip(self):
         spec = SynthSpec(duration_s=12.0, seed=77, fetal_bpm=140.0)
         assert SynthSpec.from_dict(spec.to_dict()) == spec

@@ -460,6 +460,36 @@ class TestCli:
         assert captured.err == "error: RunConfig.__init__() got an unexpected keyword argument 'scale_target'\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("content, kind", [("[1]", "list"), ('"cfg"', "str"), ("3", "int")])
+    def test_json_file_not_an_object_exits_2(self, content, kind, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        csv_path = tmp_path / "synth.csv"
+        for argv in (["run", "--config", str(path), "--backend", "float64"],
+                     ["run", "--synth", str(path), "--backend", "float64"],
+                     ["synth", "--spec", str(path), "--out", str(csv_path)]):
+            assert cli_main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {path} must hold a JSON object, not {kind}\n", argv
+            assert captured.out == ""
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_bad_synth_seed_exits_2(self, seed, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"duration_s": 0.5, "seed": seed}))
+        csv_path = tmp_path / "synth.csv"
+        argvs = [["run", "--synth", str(spec_path), "--backend", "float64"],
+                 ["synth", "--spec", str(spec_path), "--out", str(csv_path)]]
+        if seed == -1:
+            argvs.append(["synth", "--seed", "-1", "--out", str(csv_path)])
+        for argv in argvs:
+            assert cli_main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: seed must be a non-negative integer, got {seed!r}\n", argv
+            assert captured.out == ""
+        assert not csv_path.exists()
+
     def test_input_and_synth_flags_together_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))

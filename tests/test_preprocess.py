@@ -5,15 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
+from test_lms import truncating
 
+from fhrmon import fpu, numeric
 from fhrmon.io import SynthSpec, generate_synthetic
-from fhrmon.numeric import make_backend, quantized
+from fhrmon.numeric import RunningMean, make_backend, quantized
 from fhrmon.preprocess import (
     BASELINE_WINDOW,
     LOWPASS_INPUT_COEFFS,
     LOWPASS_OUTPUT_COEFFS,
     NOTCH_INPUT_COEFFS,
     NOTCH_OUTPUT_COEFFS,
+    STREAM_BLOCK,
+    IirFilter,
     MovingAverageBaseline,
     PreprocessChain,
     make_lowpass,
@@ -311,3 +315,219 @@ class TestStageMajorProcess:
             bk.encode(value)
         assert type(raised.value) is type(want.value)
         assert str(raised.value) == str(want.value)
+
+
+RECURSIONS = {
+    "lowpass": make_lowpass,
+    "notch": make_notch,
+    "mean": lambda bk: RunningMean(bk, BASELINE_WINDOW),
+}
+
+# From zero state, each of these makes the stage's recursion flush a sum
+# within a few samples; its feed-forward ops stay in range.
+SPIKES = {
+    "lowpass": [2.0**-110],
+    "notch": [2.0**-120],
+    "mean": [2.0**-100, -(2.0**-100) * (1 - 2.0**-20)],
+}
+
+UNAVAILABLE_SCOPE = pytest.mark.parametrize(
+    "patch", [("_FE_TOWARDZERO", {}), ("_LIBM", "libfhrmon-absent.so")],
+    ids=["unknown_architecture", "no_fesetround"],
+)
+
+
+def _stage_state(stage):
+    if isinstance(stage, RunningMean):
+        return list(stage.ring), stage.mean
+    return stage.input_history, stage.output_history
+
+
+def _step_loop(stage, values):
+    """Words of ``stage.step`` over ``values``, and the samples whose step raised a flag."""
+    bk = stage.backend
+    words, flagged = [], []
+    for k, v in enumerate(values.tolist()):
+        before = bk.flags.overflow + bk.flags.underflow
+        words.append(stage.step(bk.encode(v)))
+        if bk.flags.overflow + bk.flags.underflow > before:
+            flagged.append(k)
+    return words, flagged
+
+
+def _trace_paths(stage, monkeypatch) -> list:
+    """Record, in order, each block's loops: ``"cast"``, then ``"value"`` if it reran."""
+    paths = []
+    for name, tag in (("cast_loop", "cast"), ("value_loop", "value")):
+        loop = getattr(stage, name)
+
+        def traced(*args, _loop=loop, _tag=tag):
+            paths.append(_tag)
+            return _loop(*args)
+
+        monkeypatch.setattr(stage, name, traced)
+    return paths
+
+
+def _soft_paths(n_blocks: int, rejected) -> list:
+    return [p for i in range(n_blocks) for p in (["cast", "value"] if i in rejected else ["cast"])]
+
+
+class TestCastRecursion:
+    """``IirFilter.run`` and ``RunningMean.run`` against a loop of their ``step``.
+
+    On the soft backend each block's recursion runs as float32 casts under
+    round-toward-zero; a block with any op out of range reruns on the value
+    ops.  Words, flags, meter readings and state must equal ``step``'s.
+    """
+
+    B = STREAM_BLOCK
+    SPLIT = 1234  # run in two calls, the second resuming from the first's state
+    N = 2 * STREAM_BLOCK + 300  # blocks [0, SPLIT), then two from SPLIT, the last one short
+
+    @staticmethod
+    def ecg() -> np.ndarray:
+        return generate_synthetic(SynthSpec(duration_s=9.0, seed=71)).channel("abdominal")
+
+    @staticmethod
+    def first_flag(name) -> int:
+        """The sample at which ``SPIKES[name]`` from sample 0 first raises a flag."""
+        bk = make_backend("soft")
+        x = np.zeros(100)
+        x[: len(SPIKES[name])] = SPIKES[name]
+        flagged = _step_loop(RECURSIONS[name](bk), bk.ingest(x))[1]
+        assert flagged and not bk.flags.overflow
+        return flagged[0]
+
+    def signal(self, name, case) -> np.ndarray:
+        ecg = self.ecg()
+        if case == "saturating":
+            # the running total passes max normal; the filters' outputs grow past it
+            big = [np.full(400, 3.4e38)] if name == "mean" else [np.full(300, 3e38), np.full(300, -3e38)]
+            x = np.concatenate([ecg[:2000], *big, ecg])
+        elif case == "flushing":
+            # products and partial sums of noise this small fall below 2^-126
+            tiny = {"lowpass": 1e-35, "notch": 1e-36, "mean": 1e-35}[name]
+            x = np.concatenate([tiny * np.random.default_rng(71).normal(size=3000), ecg])
+        elif case in ("flag_first", "flag_last"):
+            x = np.zeros(self.N)
+            # the first sample of the last block, or the last sample of the one before
+            target = self.SPLIT + self.B - (case == "flag_last")
+            start = target - self.first_flag(name)
+            x[start : start + len(SPIKES[name])] = SPIKES[name]
+        else:  # ecg
+            x = ecg
+        return make_backend("soft").ingest(x[: self.N])
+
+    def run_and_step(self, make, x, backend, monkeypatch):
+        """``make(backend).run`` in two calls against a ``step`` loop; they must agree.
+
+        Returns each block's loops (see ``_trace_paths``), the samples whose
+        step raised a flag, and the blocks of ``run`` those samples fall in.
+        """
+        bk_run, bk_step = make_backend(backend), make_backend(backend)
+        run, step = make(bk_run), make(bk_step)
+        paths = _trace_paths(run, monkeypatch)
+        split = self.SPLIT
+        got = bk_run.to_words(np.concatenate([run.run(x[:split]), run.run(x[split:])]))
+        want, flagged = _step_loop(step, x)
+
+        assert got == want
+        assert bk_run.flags == bk_step.flags
+        assert bk_run.ops == bk_step.ops
+        assert _stage_state(run) == _stage_state(step)
+        blocks = {0 if k < split else 1 + (k - split) // self.B for k in flagged}
+        return paths, flagged, blocks
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize("case", ["ecg", "saturating", "flushing", "flag_first", "flag_last"])
+    @pytest.mark.parametrize("name", list(RECURSIONS))
+    def test_run_matches_step_loop(self, name, case, backend, monkeypatch):
+        paths, flagged, blocks = self.run_and_step(
+            RECURSIONS[name], self.signal(name, case), backend, monkeypatch
+        )
+        if backend == "float64":
+            assert paths == ["value"] * 3
+        elif case in ("saturating", "flushing"):
+            # some flags come from the feed-forward bulk ops: at least one block reruns
+            assert flagged and "value" in paths and paths.count("cast") == 3
+        else:
+            # every flag comes from the recursion: exactly the flagged blocks rerun
+            assert paths == _soft_paths(3, blocks)
+            if case != "ecg":
+                assert flagged[0] == self.SPLIT + self.B - (case == "flag_last")
+            else:
+                assert not flagged
+
+    @pytest.mark.parametrize("op", ["product", "difference"])
+    def test_block_with_one_op_out_of_range_reruns(self, op, monkeypatch):
+        x = np.zeros(self.N)
+        p = self.SPLIT + 100
+        if op == "product":
+            # output p is in [2^-126, 2^-125): its product with the last feedback
+            # coefficient (-0.4814), four samples on, flushes while the sums
+            # carry the ECG that follows
+            make = make_lowpass
+            x[p] = 1.5 * 2.0**-126 / quantized(LOWPASS_INPUT_COEFFS[0])
+            x[p + 1 :] = self.ecg()[: self.N - p - 1]
+            want_flagged = [p + 4]
+        else:
+            # scaled by 2^-8 exactly: at p + 256 the total 2^-110 + 2^-128 is
+            # normal, and subtracting the evicted 2^-110 leaves 2^-128; the
+            # next sample's 2^-100 keeps the total after it normal either way
+            def make(bk):
+                return RunningMean(bk, 256)
+
+            x[[p, p + 1, p + 256, p + 257]] = 2.0**-102, 2.0**-107, -(2.0**-107 - 2.0**-120), 2.0**-92
+            want_flagged = [p + 256]
+        x = make_backend("soft").ingest(x)
+        paths, flagged, blocks = self.run_and_step(make, x, "soft", monkeypatch)
+        assert flagged == want_flagged
+        assert paths == _soft_paths(3, blocks) and "value" in paths
+
+    @UNAVAILABLE_SCOPE
+    @pytest.mark.parametrize("case", ["ecg", "flushing"])
+    @pytest.mark.parametrize("name", list(RECURSIONS))
+    def test_without_scope_every_block_runs_the_value_loop(self, name, case, patch, monkeypatch):
+        x = self.signal(name, case)
+        bk_step = make_backend("soft")
+        want = _step_loop(RECURSIONS[name](bk_step), x)[0]
+        monkeypatch.setattr(numeric, "_rounding", None)
+        monkeypatch.setattr(numeric, *patch)
+        bk_run = make_backend("soft")
+        run = RECURSIONS[name](bk_run)
+        paths = _trace_paths(run, monkeypatch)
+        assert bk_run.to_words(run.run(x)) == want
+        assert bk_run.flags == bk_step.flags and bk_run.ops == bk_step.ops
+        assert paths == ["value"] * -(-self.N // self.B)
+        assert numeric._rounding is False
+
+
+class TestRecursionRoundingScope:
+    """The cast loops run only inside the round-toward-zero scope."""
+
+    @staticmethod
+    def process(n=STREAM_BLOCK + 100):
+        x = np.random.default_rng(8).normal(0.0, 1.0, n)
+        return PreprocessChain(make_backend("soft")).process(x)
+
+    def test_round_to_nearest_after_process(self):
+        assert not truncating()
+        self.process()
+        assert not truncating()
+
+    @pytest.mark.parametrize("cls", [IirFilter, RunningMean])
+    def test_round_to_nearest_after_operand_error_in_a_block(self, cls, monkeypatch):
+        cast_loop = cls.cast_loop
+        seen = []
+
+        def failing(self, *args):
+            cast_loop(self, *args)
+            seen.append(truncating())
+            raise fpu.OperandError("inside a block")
+
+        monkeypatch.setattr(cls, "cast_loop", failing)
+        with pytest.raises(fpu.OperandError, match="inside a block"):
+            self.process()
+        assert seen == [True]
+        assert not truncating()
