@@ -140,21 +140,19 @@ def enhance(backend, samples) -> tuple[list, object]:
     return sdm, enh.m1
 
 
-def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object, bool]:
+def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object]:
     """Collect local maxima of ``sdm`` above ``m1`` and derive the threshold.
 
     A maximum is the largest sample (earliest index on ties) of each
     excursion above ``m1``, emitted at the downward crossing.  Returns the
-    maxima, ``th = (m1 + m2) / 2`` with ``m2`` the mean of the maxima, and a
-    degenerate flag.  When no sample ever exceeds ``m1`` the result is empty
-    and ``th = m1 / 2``.
+    maxima and ``th = (m1 + m2) / 2`` with ``m2`` the mean of the maxima.
+    When no sample ever exceeds ``m1`` the result is empty and ``th = m1 / 2``.
     """
     bk = backend
     gt, lt = bk.gt, bk.lt
     half = bk.encode(0.5)
 
     locations: list[int] = []
-    values = []
     in_excursion = False
     cand_val = bk.zero
     cand_loc = -1
@@ -167,56 +165,47 @@ def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object, bool]:
         else:
             if lt(value, m1):
                 locations.append(cand_loc)
-                values.append(cand_val)
                 in_excursion = False
             elif gt(value, cand_val):
                 cand_val = value
                 cand_loc = idx
 
     if not locations:
-        return PeakSet(), bk.mul(m1, half), True
+        return PeakSet(), bk.mul(m1, half)
 
     acc = bk.zero
-    for v in values:
-        acc = bk.add(acc, v)
-    m2 = bk.mul(acc, bk.encode(quantized(1.0 / len(values))))
+    for loc in locations:
+        acc = bk.add(acc, sdm_seq[loc])
+    m2 = bk.mul(acc, bk.encode(quantized(1.0 / len(locations))))
     th = bk.mul(bk.add(m1, m2), half)
-    decoded = [bk.decode(v) for v in values]
-    return PeakSet(locations, decoded), th, False
+    return PeakSet(locations, [bk.decode(sdm_seq[loc]) for loc in locations]), th
 
 
-def select_fetal_peaks(backend, maxima: PeakSet, maxima_raw, th, min_gap: int) -> PeakSet:
+def select_fetal_peaks(backend, sdm_seq, maxima: PeakSet, th, min_gap: int) -> PeakSet:
     """Threshold the maxima and arbitrate near-coincident survivors.
 
-    ``maxima_raw`` carries the backend-encoded values parallel to ``maxima``
-    so threshold comparisons run on the datapath's comparator.  Survivors
-    closer than ``min_gap`` samples are resolved in favor of the larger
-    value; accepted locations end up pairwise more than ``min_gap`` apart.
+    Threshold and arbitration comparisons run on the datapath's comparator,
+    over the ``sdm_seq`` words at the maxima.  Survivors closer than
+    ``min_gap`` samples are resolved in favor of the larger value; accepted
+    locations end up pairwise more than ``min_gap`` apart.
     """
     bk = backend
-    survivors = [
-        (loc, raw, dec)
-        for loc, raw, dec in zip(maxima.locations, maxima_raw, maxima.values or [])
-        if bk.gt(raw, th)
-    ]
+    survivors = [loc for loc in maxima.locations if bk.gt(sdm_seq[loc], th)]
     # Empty only under a caller's own th: detect_peaks' th = (m1 + m2) / 2 sits
     # below the largest maximum, which therefore always survives.
     if not survivors:
         return PeakSet()
 
-    out_locs: list[int] = []
-    out_vals: list[float] = []
-    cand_loc, cand_raw, cand_dec = survivors[0]
-    for loc, raw, dec in survivors[1:]:
-        if loc - cand_loc > min_gap:
-            out_locs.append(cand_loc)
-            out_vals.append(cand_dec)
-            cand_loc, cand_raw, cand_dec = loc, raw, dec
-        elif bk.gt(raw, cand_raw):
-            cand_loc, cand_raw, cand_dec = loc, raw, dec
-    out_locs.append(cand_loc)
-    out_vals.append(cand_dec)
-    return PeakSet(out_locs, out_vals)
+    out: list[int] = []
+    cand = survivors[0]
+    for loc in survivors[1:]:
+        if loc - cand > min_gap:
+            out.append(cand)
+            cand = loc
+        elif bk.gt(sdm_seq[loc], sdm_seq[cand]):
+            cand = loc
+    out.append(cand)
+    return PeakSet(out, [bk.decode(sdm_seq[loc]) for loc in out])
 
 
 def min_gap_samples(fs: float) -> int:
@@ -228,23 +217,18 @@ def detect_peaks(backend, fecg_samples, fs: float) -> dict:
     """Run both detection passes over an extracted-FECG sample sequence.
 
     Returns a dict with the sdm trace, m1/th (decoded), all local maxima,
-    the accepted fetal peaks, and the degenerate flag.  Locations are
-    relative to the start of ``fecg_samples``.
+    the accepted fetal peaks, and whether no maximum rose above m1.
+    Locations are relative to the start of ``fecg_samples``.
     """
     sdm_seq, m1 = enhance(backend, fecg_samples)
-    maxima, th, degenerate = find_local_maxima(backend, sdm_seq, m1)
-    maxima_raw = [sdm_seq[loc] for loc in maxima.locations]
-    if degenerate or not len(maxima):
-        peaks = PeakSet()
-    else:
-        peaks = select_fetal_peaks(backend, maxima, maxima_raw, th, min_gap_samples(fs))
+    maxima, th = find_local_maxima(backend, sdm_seq, m1)
     return {
         "sdm": sdm_seq,
         "m1": backend.decode(m1),
         "th": backend.decode(th),
         "maxima": maxima,
-        "peaks": peaks,
-        "degenerate": degenerate,
+        "peaks": select_fetal_peaks(backend, sdm_seq, maxima, th, min_gap_samples(fs)),
+        "degenerate": not maxima,
     }
 
 
@@ -313,22 +297,3 @@ def score_detection(
 
 def match_window_samples(fs: float) -> int:
     return round(MATCH_WINDOW_S * fs)
-
-
-def baseline_single_mean_peaks(maxima: PeakSet) -> PeakSet:
-    """Single-mean comparison detector: every maximum above m1 is a peak.
-
-    No two-mean threshold, no minimum-gap arbitration; used to contrast the
-    proposed norm against a plain enhanced-signal mean threshold.
-    """
-    return PeakSet(list(maxima.locations), list(maxima.values) if maxima.values else None)
-
-
-def detection_delay_samples(window: int = ENHANCE_WINDOW) -> int:
-    """Nominal lag of sdm maxima behind the underlying R peak.
-
-    The causal mean filter centers its response roughly half a window after
-    the squared-difference lobes; useful when aligning detections with
-    annotations.
-    """
-    return window // 2

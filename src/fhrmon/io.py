@@ -49,6 +49,11 @@ class RecordingError(ValueError):
     """Raised for malformed recording or annotation files."""
 
 
+def is_number(value) -> bool:
+    """True for an int or float that is not a bool, as a numeric field must be."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class Recording:
     channels: dict[str, np.ndarray]
@@ -112,15 +117,20 @@ class SynthSpec:
     seed: int = 1234
 
     def __post_init__(self):
-        if not 50.0 <= self.fetal_bpm <= 300.0:
-            raise ValueError(f"fetal_bpm out of [50, 300]: {self.fetal_bpm}")
-        for name in ("noise_rms", "baseline_amp", "powerline_amp", "fetal_amplitude_ratio"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not (0 < self.duration_s < math.inf and 0 < self.fs < math.inf):
-            raise ValueError("duration_s and fs must be positive and finite")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, value in asdict(self).items():
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name, low in (("maternal_bpm", 30.0), ("fetal_bpm", 50.0)):
+            if not low <= getattr(self, name) <= 300.0:
+                raise ValueError(f"{name} out of [{low:g}, 300]: {getattr(self, name)}")
+        for name in ("noise_rms", "baseline_amp", "baseline_freq_hz", "powerline_amp",
+                     "fetal_amplitude_ratio"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not (0 < self.duration_s < math.inf and 0 < self.fs < math.inf):
+            raise ValueError("duration_s and fs must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -212,34 +222,24 @@ def load_recording(
     format: str = "csv",
     fs: float | None = None,
     channel_map: dict[str, str] | None = None,
-    int16_scale: bool | None = None,
 ) -> Recording:
     """Load a recording from disk.
 
     ``channel_map`` maps roles (e.g. ``thoracic``) to file channel names and
-    is validated so missing columns fail here rather than mid-pipeline.
-    ``int16_scale`` forces (or suppresses) the [-1, 1] rescale of integer
-    samples; the default rescales when every value is integral and exceeds
-    the unit range.
+    is validated so missing columns fail here rather than mid-pipeline.  CSV
+    samples are rescaled from int16 to [-1, 1) when the leading values are
+    all integral and exceed the unit range.
     """
     path = Path(path)
     if format == "csv":
         rec = _load_csv(path, fs)
+        sample = np.concatenate([ch[:256] for ch in rec.channels.values()])
+        if len(sample) and np.all(sample == np.round(sample)) and np.max(np.abs(sample)) > 2.0:
+            rec.channels = {k: v / INT16_FULL_SCALE for k, v in rec.channels.items()}
     elif format == "raw":
         rec = _load_raw(path)
     else:
         raise RecordingError(f"unknown recording format: {format!r}")
-
-    if format == "csv":
-        if int16_scale is None:
-            sample = np.concatenate([ch[:256] for ch in rec.channels.values()])
-            int16_scale = bool(
-                len(sample)
-                and np.all(sample == np.round(sample))
-                and np.max(np.abs(sample)) > 2.0
-            )
-        if int16_scale:
-            rec.channels = {k: v / INT16_FULL_SCALE for k, v in rec.channels.items()}
 
     if channel_map:
         for role, name in channel_map.items():

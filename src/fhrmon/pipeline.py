@@ -24,12 +24,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import fhr, fpu, lms
-from .io import Recording, SynthSpec, generate_synthetic, load_annotations, load_recording
+from .io import (
+    Recording, SynthSpec, generate_synthetic, is_number, load_annotations, load_recording
+)
 from .numeric import make_backend
 from .preprocess import PreprocessChain
 
 DEFAULT_CLOCK_HZ = 50_000_000
-SCALE_TARGET = 16.0
 # Guard band after the convergence marker before scoring starts: enhancement
 # ring fill plus the annotation matching window.
 SCORING_GUARD_SAMPLES = 128
@@ -92,6 +93,8 @@ class RunConfig:
             raise ConfigError(f"order must be >= 1, got {self.order}")
         for name in ("fs", "mu", "clock_hz"):
             value = getattr(self, name)
+            if value is not None and not is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
             if value is not None and not 0 < value < math.inf:  # False for NaN too
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.convergence_index is not None and self.convergence_index < 0:
@@ -112,18 +115,10 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
         if data.get("synth") is not None:
+            if not isinstance(data["synth"], dict):
+                raise ConfigError(f"synth must be a JSON object, got {data['synth']!r}")
             data["synth"] = SynthSpec.from_dict(data["synth"])
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def replaced(self, **overrides) -> "RunConfig":
         return RunConfig.from_dict({**self.to_dict(), **overrides})
@@ -224,8 +219,8 @@ def preprocess_front_end(cfg: RunConfig, rec: Recording, backend) -> FrontEnd:
     abdominal_pp = chain_a.process(rec.channel(cfg.abdominal))
     warmup = chain_t.warmup_samples
 
-    scale_x = lms.choose_scale_factor(backend.to_values(thoracic_pp[warmup:]), SCALE_TARGET)
-    scale_d = lms.choose_scale_factor(backend.to_values(abdominal_pp[warmup:]), SCALE_TARGET)
+    scale_x = lms.choose_scale_factor(backend.to_values(thoracic_pp[warmup:]))
+    scale_d = lms.choose_scale_factor(backend.to_values(abdominal_pp[warmup:]))
     return FrontEnd(thoracic_pp, abdominal_pp, scale_x, scale_d)
 
 
@@ -467,12 +462,9 @@ def baseline_comparison(cfg: RunConfig) -> dict:
     art = execute(cfg.replaced(arch=arch), arch, rec)
     scoring_start = art.convergence_index + SCORING_GUARD_SAMPLES
 
-    proposed = art.detection["peaks_absolute"]
-    single_mean = fhr.baseline_single_mean_peaks(art.detection["maxima_absolute"])
-
     out = {}
-    for name, peaks in (("proposed", proposed), ("single_mean", single_mean)):
-        metrics = score_against_annotations(rec, peaks, scoring_start, rec.fs)
+    for name, key in (("proposed", "peaks_absolute"), ("single_mean", "maxima_absolute")):
+        metrics = score_against_annotations(rec, art.detection[key], scoring_start, rec.fs)
         out[name] = metrics.to_dict() if metrics else None
     out["threshold"] = {"m1": art.detection["m1"], "th": art.detection["th"]}
     return out

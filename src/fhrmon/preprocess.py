@@ -193,11 +193,11 @@ class MovingAverageBaseline:
 class PreprocessChain:
     """Low-pass -> notch -> baseline removal, one sample per step."""
 
-    def __init__(self, backend, n1: int = BASELINE_WINDOW, n2: int = BASELINE_WINDOW):
+    def __init__(self, backend):
         self.backend = backend
         self.lowpass = make_lowpass(backend)
         self.notch = make_notch(backend)
-        self.baseline = MovingAverageBaseline(backend, n1, n2)
+        self.baseline = MovingAverageBaseline(backend)
 
     @property
     def warmup_samples(self) -> int:

@@ -12,7 +12,6 @@ from fhrmon.fhr import (
     NoEstimateError,
     PeakEnhancer,
     PeakSet,
-    baseline_single_mean_peaks,
     compute_fhr,
     detect_peaks,
     enhance,
@@ -99,8 +98,7 @@ class TestLocalMaxima:
     def test_constant_below_threshold_is_degenerate(self):
         bk = make_backend("soft")
         seq = encode_all(bk, np.full(100, 0.1))
-        maxima, th, degenerate = find_local_maxima(bk, seq, bk.encode(0.25))
-        assert degenerate
+        maxima, th = find_local_maxima(bk, seq, bk.encode(0.25))
         assert len(maxima) == 0
         assert bk.decode(th) == pytest.approx(0.125)
 
@@ -109,8 +107,7 @@ class TestLocalMaxima:
         x = np.zeros(400)
         x[200:210] = np.linspace(0.0, 1.0, 10)
         x[210:220] = np.linspace(1.0, 0.0, 10)
-        maxima, th, degenerate = find_local_maxima(bk, encode_all(bk, x), bk.encode(0.25))
-        assert not degenerate
+        maxima, th = find_local_maxima(bk, encode_all(bk, x), bk.encode(0.25))
         assert maxima.locations == [209]
         assert maxima.values == [1.0]
         # m2 equals the single apex, th the midpoint
@@ -127,8 +124,7 @@ class TestLocalMaxima:
         for loc in range(400, n - 100, 520):   # large family ~1.0
             x[loc : loc + 9] += 1.0 * np.hanning(9)
         sdm, m1 = enhance(bk, list(map(float, x)))
-        maxima, th, degenerate = find_local_maxima(bk, sdm, m1)
-        assert not degenerate
+        maxima, th = find_local_maxima(bk, sdm, m1)
         small = [v for v in maxima.values if v < 0.5 * max(maxima.values)]
         large = [v for v in maxima.values if v >= 0.5 * max(maxima.values)]
         assert small and large
@@ -139,53 +135,54 @@ class TestLocalMaxima:
         x = np.zeros(120)
         # one contiguous excursion above 0.4 with equal apexes at 50 and 52
         x[50:54] = [1.0, 0.9, 1.0, 0.5]
-        maxima, _, _ = find_local_maxima(bk, list(map(float, x)), 0.4)
+        maxima, _ = find_local_maxima(bk, list(map(float, x)), 0.4)
         assert maxima.locations == [50]
         assert maxima.values == [1.0]
 
 
 class TestSelection:
     def make(self, locs, vals):
+        """The backend, maxima at ``locs``, and an sdm sequence holding ``vals`` there."""
         bk = make_backend("soft")
-        ps = PeakSet(list(locs), list(vals))
-        raw = [bk.encode(v) for v in vals]
-        return bk, ps, raw
+        locs = [int(loc) for loc in locs]
+        seq = [bk.zero] * (max(locs) + 1)
+        for loc, v in zip(locs, vals):
+            seq[loc] = bk.encode(float(v))
+        return bk, PeakSet(locs, [float(v) for v in vals]), seq
 
     def test_all_below_threshold_empty(self):
-        bk, ps, raw = self.make([100, 400], [0.5, 0.6])
-        out = select_fetal_peaks(bk, ps, raw, bk.encode(2.0), 200)
+        bk, ps, seq = self.make([100, 400], [0.5, 0.6])
+        out = select_fetal_peaks(bk, seq, ps, bk.encode(2.0), 200)
         assert len(out) == 0
 
     def test_arbitration_keeps_larger_of_close_pair(self):
-        bk, ps, raw = self.make([1000, 1150], [5.0, 9.0])
-        out = select_fetal_peaks(bk, ps, raw, bk.encode(1.0), 200)
+        bk, ps, seq = self.make([1000, 1150], [5.0, 9.0])
+        out = select_fetal_peaks(bk, seq, ps, bk.encode(1.0), 200)
         assert out.locations == [1150]
         assert out.values == [9.0]
 
     def test_arbitration_keeps_earlier_when_larger(self):
-        bk, ps, raw = self.make([1000, 1150], [9.0, 5.0])
-        out = select_fetal_peaks(bk, ps, raw, bk.encode(1.0), 200)
+        bk, ps, seq = self.make([1000, 1150], [9.0, 5.0])
+        out = select_fetal_peaks(bk, seq, ps, bk.encode(1.0), 200)
         assert out.locations == [1000]
 
     def test_well_separated_all_retained(self):
-        bk, ps, raw = self.make([1000, 1300, 1600], [5.0, 9.0, 7.0])
-        out = select_fetal_peaks(bk, ps, raw, bk.encode(1.0), 200)
+        bk, ps, seq = self.make([1000, 1300, 1600], [5.0, 9.0, 7.0])
+        out = select_fetal_peaks(bk, seq, ps, bk.encode(1.0), 200)
         assert out.locations == [1000, 1300, 1600]
 
     def test_boundary_exactly_min_gap_is_arbitrated(self):
         # spacing must be strictly greater than the gap to stand alone
-        bk, ps, raw = self.make([1000, 1200], [5.0, 9.0])
-        out = select_fetal_peaks(bk, ps, raw, bk.encode(1.0), 200)
+        bk, ps, seq = self.make([1000, 1200], [5.0, 9.0])
+        out = select_fetal_peaks(bk, seq, ps, bk.encode(1.0), 200)
         assert out.locations == [1200]
 
     def test_output_spacing_property(self):
         rng = np.random.default_rng(15)
         locs = np.cumsum(rng.integers(30, 400, 60))
         vals = rng.uniform(1.0, 10.0, len(locs))
-        bk = make_backend("soft")
-        ps = PeakSet([int(l) for l in locs], list(map(float, vals)))
-        raw = [bk.encode(float(v)) for v in vals]
-        out = select_fetal_peaks(bk, ps, raw, bk.encode(0.5), 200)
+        bk, ps, seq = self.make(locs, vals)
+        out = select_fetal_peaks(bk, seq, ps, bk.encode(0.5), 200)
         gaps = np.diff(out.locations)
         assert np.all(gaps > 200)
 
@@ -282,9 +279,8 @@ class TestDetectPeaksEndToEnd:
         for loc in accepted:
             assert any(abs(loc - t) <= window for t in target_locs)
         # the single-mean baseline admits residual-family maxima
-        baseline = baseline_single_mean_peaks(det["maxima"])
         hits_residual = [
-            l for l in baseline.locations
+            l for l in det["maxima"].locations
             if any(abs(l - r) <= window for r in residual_locs)
             and not any(abs(l - t) <= window for t in target_locs)
         ]

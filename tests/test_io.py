@@ -115,8 +115,6 @@ class TestCsv:
         path.write_text("a\n16384\n-32768\n0\n")
         rec = load_recording(path, fs=10.0)
         assert list(rec.channels["a"]) == [0.5, -1.0, 0.0]
-        rec2 = load_recording(path, fs=10.0, int16_scale=False)
-        assert list(rec2.channels["a"]) == [16384.0, -32768.0, 0.0]
 
     def test_write_load_identity(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -267,7 +265,7 @@ class TestSyntheticGenerator:
         bk = make_backend("float64")
         sdm, _ = fhr.enhance(bk, list(map(float, rec.channels["abdominal"])))
         sdm = np.asarray(sdm)
-        lag = fhr.detection_delay_samples()
+        lag = fhr.ENHANCE_WINDOW // 2  # the causal mean filter's nominal lag
         m_ann = rec.annotations["maternal"].locations
         offsets = []
         for loc in rec.annotations["fetal"].locations:

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from fhrmon import fhr, lms
 from fhrmon.fpu import FRAC_MASK, FpuFlags, OperandError, fpu_add, fpu_mul, fpu_sub, join
 from fhrmon.io import SynthSpec, generate_synthetic
-from fhrmon.numeric import SoftF32Backend
-from fhrmon.preprocess import PreprocessChain
+from fhrmon.numeric import RunningMean, SoftF32Backend
+from fhrmon.pipeline import run_pipeline
+from fhrmon.preprocess import IirFilter, PreprocessChain
 from test_fpu import random_normal_words
 
 ORACLES = {"add": fpu_add, "sub": fpu_sub, "mul": fpu_mul}
@@ -347,7 +348,7 @@ def _digest(words) -> str:
 
 
 def test_stage_words_pinned():
-    """Soft preprocess and enhancement words, bit for bit, on a 2 s record."""
+    """Soft preprocess, enhancement and detector words, bit for bit, on a 2 s record."""
     rec = generate_synthetic(SynthSpec(duration_s=2.0, seed=1234))
     backend = SoftF32Backend()
     thoracic = PreprocessChain(backend).process(rec.channel("thoracic"))
@@ -357,3 +358,40 @@ def test_stage_words_pinned():
     assert _digest(abdominal) == "742f9d92ddb6e14e8df4203ae5da1b9958253f01c41a71549d10f95cc58d2e59"
     assert _digest(sdm) == "65ce5afc9ab5092f8b7abe69416102ba0d5c3cbf4df171b1a8f70ba37c95ea2f"
     assert m1 == 0x386FD091
+
+    before = dict(backend.ops)
+    maxima, th = fhr.find_local_maxima(backend, sdm, m1)
+    peaks = fhr.select_fetal_peaks(backend, sdm, maxima, th, fhr.min_gap_samples(rec.fs))
+    assert maxima.locations == [92, 749, 1453]
+    assert th == 0x39F55FA2
+    assert peaks.locations == [92, 749, 1453]
+    delta = {k: backend.ops[k] - before[k] for k in ("gt", "lt", "add", "mul")}
+    assert delta == {"gt": 2000, "lt": 196, "add": 4, "mul": 2}
+
+
+def test_soft_pass_never_takes_the_exact_path(monkeypatch, default_config):
+    """A soft pass over the default 30 s record runs every block on the fast path.
+
+    The exact path (the value loops, the LMS sample step and the oracle)
+    gives the same words, only slower, so a scope or replay fault that sent
+    every block there would pass every word test; count the calls instead.
+    """
+    if os.uname().machine != "x86_64":
+        pytest.skip("round-toward-zero is only tested on x86-64")
+    calls = {}
+    slow_paths = (
+        (IirFilter, "value_loop"),
+        (RunningMean, "value_loop"),
+        (lms.LmsState, "update"),
+        (SoftF32Backend, "_oracle"),
+    )
+    for owner, name in slow_paths:
+        key, original = f"{owner.__name__}.{name}", getattr(owner, name)
+
+        def counted(*args, _key=key, _original=original):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert run_pipeline(default_config).ok
+    assert calls == {}

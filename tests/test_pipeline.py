@@ -77,8 +77,10 @@ class TestRunConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = fast_config(trace=["lms"], out_dir=str(tmp_path / "out"))
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
-        back = RunConfig.from_json(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg.to_dict(), fh)
+        with open(path, encoding="utf-8") as fh:
+            back = RunConfig.from_dict(json.load(fh))
         assert back == cfg
 
     def test_convergence_index_auto_scales_for_short_records(self):
@@ -356,8 +358,8 @@ class TestCli:
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg = fast_config()
-        cfg.to_json(cfg_path)
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(fast_config().to_dict(), fh)
         rc = cli_main(["run", "--config", str(cfg_path), "--arch", "parallel"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
@@ -449,9 +451,59 @@ class TestCli:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"synth": [1]}', "synth must be a JSON object, got [1]"),
+            ('{"mu": "0.1", "synth": {}}', "mu must be a number, got '0.1'"),
+        ],
+        ids=["synth_list", "mu_string"],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, config, message, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        rc = cli_main(["run", "--config", str(cfg_path), "--backend", "float64"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"duration_s": "5"}, "duration_s must be a number, got '5'"),
+            ({"fetal_bpm": None}, "fetal_bpm must be a number, got None"),
+            ({"maternal_bpm": 0}, "maternal_bpm out of [30, 300]: 0"),
+            ({"maternal_bpm": -60}, "maternal_bpm out of [30, 300]: -60"),
+            ({"maternal_bpm": 1e308}, "maternal_bpm out of [30, 300]: 1e+308"),
+            ({"baseline_freq_hz": "x"}, "baseline_freq_hz must be a number, got 'x'"),
+            ({"baseline_freq_hz": -0.5}, "baseline_freq_hz must be non-negative and finite"),
+        ],
+        ids=[
+            "duration_string",
+            "fetal_null",
+            "maternal_zero",
+            "maternal_negative",
+            "maternal_huge",
+            "baseline_freq_string",
+            "baseline_freq_negative",
+        ],
+    )
+    def test_bad_synth_spec_field_exits_2(self, spec, message, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        csv_path = tmp_path / "synth.csv"
+        for argv in (["run", "--synth", str(spec_path), "--backend", "float64"],
+                     ["synth", "--spec", str(spec_path), "--out", str(csv_path)]):
+            assert cli_main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n", argv
+            assert captured.out == ""
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("value", ["0", "-16", "NaN", "Infinity"])
     def test_bad_scale_target_exits_2(self, value, tmp_path, capsys):
-        # the front end always scales to SCALE_TARGET; a config file may not set it at all
+        # the front end always scales to choose_scale_factor's default; a config file may not set it
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(f'{{"synth": {{"duration_s": 6.0}}, "scale_target": {value}}}')
         rc = cli_main(["run", "--config", str(cfg_path), "--backend", "float64"])
