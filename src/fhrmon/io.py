@@ -21,6 +21,7 @@ annotations and everything is a pure function of the spec and its seed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -43,6 +44,9 @@ FETAL_SIGMA_DIV = 3.0
 ABDOMINAL_MATERNAL_RATIO = 0.5
 BEAT_JITTER_FRACTION = 0.03
 POWERLINE_HZ = 50.0
+# Largest synthetic record, in samples (about 2.8 h at 1 kHz): the generator
+# holds several float64 arrays of this length at once.
+MAX_SYNTH_SAMPLES = 10_000_000
 
 
 class RecordingError(ValueError):
@@ -131,6 +135,11 @@ class SynthSpec:
                 raise ValueError(f"{name} must be non-negative and finite")
         if not (0 < self.duration_s < math.inf and 0 < self.fs < math.inf):
             raise ValueError("duration_s and fs must be positive and finite")
+        if not self.duration_s * self.fs <= MAX_SYNTH_SAMPLES:  # False for inf too
+            raise ValueError(
+                f"duration_s * fs must be at most {MAX_SYNTH_SAMPLES} samples, "
+                f"got {self.duration_s * self.fs:g}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -261,24 +270,42 @@ def _load_csv(path: Path, fs: float | None) -> Recording:
         names = [c.strip() for c in header.strip().split(",")]
         if len(set(names)) != len(names):
             raise RecordingError(f"{path}: duplicate channel names in header")
-        columns: list[list[float]] = [[] for _ in names]
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) != len(names):
+        body = fh.tell()
+        # One numpy parse of the body; any file it refuses or reads with another
+        # column count is read again by the line scan, the exact reading.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header only: "no data"
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape[1] == len(names):
+            columns = np.ascontiguousarray(rows.T)
+        else:
+            fh.seek(body)
+            columns = _scan_csv(path, fh, len(names))
+    return Recording(channels=dict(zip(names, columns)), fs=fs, provenance=str(path))
+
+
+def _scan_csv(path: Path, lines, width: int) -> list[np.ndarray]:
+    """Parse CSV body lines one cell at a time, citing the line of the first bad one."""
+    columns: list[list[float]] = [[] for _ in range(width)]
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        if len(cells) != width:
+            raise RecordingError(
+                f"{path}: line {lineno}: expected {width} cells, got {len(cells)}"
+            )
+        for col, cell in zip(columns, cells):
+            try:
+                col.append(float(cell))
+            except ValueError:
                 raise RecordingError(
-                    f"{path}: line {lineno}: expected {len(names)} cells, got {len(cells)}"
-                )
-            for col, cell in zip(columns, cells):
-                try:
-                    col.append(float(cell))
-                except ValueError:
-                    raise RecordingError(
-                        f"{path}: line {lineno}: non-numeric cell {cell!r}"
-                    ) from None
-    channels = {name: np.asarray(col, dtype=float) for name, col in zip(names, columns)}
-    return Recording(channels=channels, fs=fs, provenance=str(path))
+                    f"{path}: line {lineno}: non-numeric cell {cell!r}"
+                ) from None
+    return [np.asarray(col, dtype=float) for col in columns]
 
 
 def _load_raw(path: Path) -> Recording:

@@ -42,6 +42,7 @@ REFERENCE_CONVERGENCE_MS = {"series": 18.72, "parallel": 0.48}
 VALID_ARCHES = ("series", "parallel", "both")
 VALID_CMP_MODES = ("corrected", "verbatim")
 VALID_BACKENDS = ("soft", "float64")
+OPTIONAL_PATHS = ("input_path", "annotations_path", "out_dir")
 
 
 class ConfigError(ValueError):
@@ -72,6 +73,10 @@ class RunConfig:
     convergence_index: int | None = None  # None = min(12000, n // 2)
 
     def __post_init__(self):
+        for name in ("thoracic", "abdominal", "input_format", *OPTIONAL_PATHS):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (value is None and name in OPTIONAL_PATHS)):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         if (self.input_path is None) == (self.synth is None):
             raise ConfigError("exactly one of input_path or synth must be given")
         if self.synth is not None:
@@ -228,20 +233,23 @@ def execute(
     cfg: RunConfig,
     arch: str,
     recording: Recording | None = None,
-    front_end: FrontEnd | None = None,
+    reference: RunArtifacts | None = None,
 ) -> RunArtifacts:
     """Run preprocess -> canceller -> detection for one architecture.
 
-    A ``front_end`` computed earlier for the same recording and configuration
-    replaces the preprocessing pass; the canceller and detection always run.
+    A ``reference`` pass made earlier on the same recording and configuration
+    lends its front end in place of the preprocessing pass, and its detection
+    when this pass's error words equal its own; the canceller always runs.
     """
     rec = recording if recording is not None else load_input(cfg)
     conv = effective_convergence_index(cfg.convergence_index, rec.n_samples)
     if conv >= rec.n_samples:
         raise PipelineError("no samples after the convergence marker")
     backend = make_backend(cfg.backend, cfg.cmp_mode)
-    if front_end is None:
+    if reference is None:
         front_end = preprocess_front_end(cfg, rec, backend)
+    else:
+        front_end = reference.front_end
 
     lms_cfg = lms.LmsConfig(
         order=cfg.order,
@@ -259,9 +267,12 @@ def execute(
     if first_flag is not None:
         warnings.append(f"arithmetic saturation/flush first raised at sample {first_flag}")
 
-    detection = fhr.detect_peaks(backend, errors[conv:], rec.fs)
-    detection["peaks_absolute"] = detection["peaks"].shifted(conv)
-    detection["maxima_absolute"] = detection["maxima"].shifted(conv)
+    if reference is not None and reference.errors == errors:
+        detection = reference.detection
+    else:
+        detection = fhr.detect_peaks(backend, errors[conv:], rec.fs)
+        detection["peaks_absolute"] = detection["peaks"].shifted(conv)
+        detection["maxima_absolute"] = detection["maxima"].shifted(conv)
     if detection["degenerate"]:
         warnings.append("degenerate detection threshold (no maxima above m1)")
     return RunArtifacts(
@@ -290,34 +301,32 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     backend = art.backend
-    dec = backend.decode
-    is_soft = backend.name == "soft"
 
-    def word_repr(w) -> str:
-        return fpu.to_hex(w) if is_soft else repr(w)
+    def values(words) -> list[float]:
+        return backend.to_values(words).tolist()
+
+    def write_csv(name: str, header: str, rows) -> None:
+        with open(out / name, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([header, *rows, ""]))
 
     if "preprocess" in cfg.trace:
         fe = art.front_end
-        with open(out / "preprocess.csv", "w", encoding="utf-8") as fh:
-            fh.write("n,thoracic,abdominal\n")
-            for i, (tw, aw) in enumerate(zip(fe.thoracic_pp, fe.abdominal_pp)):
-                fh.write(f"{i},{dec(tw)!r},{dec(aw)!r}\n")
+        pairs = zip(values(fe.thoracic_pp), values(fe.abdominal_pp))
+        write_csv("preprocess.csv", "n,thoracic,abdominal",
+                  (f"{i},{t!r},{a!r}" for i, (t, a) in enumerate(pairs)))
     if "lms" in cfg.trace:
-        with open(out / "lms.csv", "w", encoding="utf-8") as fh:
-            fh.write("n,e_word,e\n")
-            for i, ew in enumerate(art.errors):
-                fh.write(f"{i},{word_repr(ew)},{dec(ew)!r}\n")
+        words = map(fpu.to_hex if backend.name == "soft" else repr, art.errors)
+        rows = zip(words, values(art.errors))
+        write_csv("lms.csv", "n,e_word,e", (f"{i},{w},{e!r}" for i, (w, e) in enumerate(rows)))
     if "fhr" in cfg.trace:
-        with open(out / "fhr.csv", "w", encoding="utf-8") as fh:
-            fh.write("n,sdm\n")
-            for i, sw in enumerate(art.detection["sdm"]):
-                fh.write(f"{i + art.convergence_index},{dec(sw)!r}\n")
+        start = art.convergence_index
+        write_csv("fhr.csv", "n,sdm",
+                  (f"{i},{v!r}" for i, v in enumerate(values(art.detection["sdm"]), start)))
     peaks = art.detection["peaks_absolute"]
-    with open(out / "peaks.csv", "w", encoding="utf-8") as fh:
-        fh.write("index,time_s,sdm_value\n")
-        values = peaks.values or [float("nan")] * len(peaks)
-        for loc, val in zip(peaks.locations, values):
-            fh.write(f"{loc},{loc / art.recording.fs!r},{val!r}\n")
+    fs = art.recording.fs
+    sdm = peaks.values or [float("nan")] * len(peaks)
+    write_csv("peaks.csv", "index,time_s,sdm_value",
+              (f"{loc},{loc / fs!r},{v!r}" for loc, v in zip(peaks.locations, sdm)))
 
 
 def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
@@ -414,8 +423,9 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
 
     The recording is preprocessed once, in the series pass, and the parallel
     pass reuses those words and scale factors; each datapath then runs its own
-    canceller and detection.  A comparison writes no files, so a configured
-    ``out_dir`` or ``trace`` is a :class:`ConfigError`.
+    canceller, and the parallel pass also reuses the series detection when
+    their error words are equal.  A comparison writes no files, so a
+    configured ``out_dir`` or ``trace`` is a :class:`ConfigError`.
 
     Raises :class:`PipelineError` naming the first divergent sample if the
     error streams differ anywhere.
@@ -424,7 +434,7 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
     rec = load_input(cfg)
     series_cfg, parallel_cfg = cfg.replaced(arch="series"), cfg.replaced(arch="parallel")
     series = execute(series_cfg, "series", rec)
-    parallel = execute(parallel_cfg, "parallel", rec, series.front_end)
+    parallel = execute(parallel_cfg, "parallel", rec, series)
 
     if series.errors != parallel.errors:
         i = next(i for i, (a, b) in enumerate(zip(series.errors, parallel.errors)) if a != b)

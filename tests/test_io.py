@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fhrmon import fhr
+from fhrmon import io as fhrmon_io
 from fhrmon.fhr import PeakSet
 from fhrmon.io import (
     Recording,
@@ -126,6 +127,63 @@ class TestCsv:
         back = load_recording(path, fs=500.0)
         for name in rec.channels:
             np.testing.assert_array_equal(back.channels[name], rec.channels[name])
+
+
+# CSV bodies under the header "a,b" (or "a"), each with the channels it loads
+# as or the error it raises after "<path>: ".
+CSV_CASES = {
+    "blank_lines": ("a,b\n0.5,1.5\n\n-2.5,4.5\n\n", {"a": [0.5, -2.5], "b": [1.5, 4.5]}),
+    "whitespace_line": ("a,b\n0.5,1.5\n  \t\n-2.5,4.5\n", {"a": [0.5, -2.5], "b": [1.5, 4.5]}),
+    "leading_spaces": ("a,b\n 0.5, 1.5\n\t-2.5 ,4.5\n", {"a": [0.5, -2.5], "b": [1.5, 4.5]}),
+    "single_column": ("a\n1.5\n-2.5\n", {"a": [1.5, -2.5]}),
+    "header_only": ("a,b\n", {"a": [], "b": []}),
+    "underscore": ("a,b\n1_0.5,2.5\n", {"a": [10.5], "b": [2.5]}),
+    "int16": ("a,b\n16384,-32768\n0,8192\n", {"a": [0.5, 0.0], "b": [-1.0, 0.25]}),
+    "nan": ("a,b\n1.0,2.0\n3.0,nan\n", "channel 'b' has a non-finite sample (nan) at index 1"),
+    "ragged_row": ("a,b\n1.0,2.0\n3.0\n", "line 3: expected 2 cells, got 1"),
+    "wide_row": ("a,b\n1.0,2.0,3.0\n", "line 2: expected 2 cells, got 3"),
+    "non_numeric": ("a,b\n1.0,2.0\n3.0,x\n", "line 3: non-numeric cell 'x'"),
+    "empty_cell": ("a,b\n1.0,\n", "line 2: non-numeric cell ''"),
+    "hash_cell": ("a,b\n1.0,2.0\n#3.0,4.0\n", "line 3: non-numeric cell '#3.0'"),
+}
+
+
+class TestCsvReaders:
+    """The one-parse reader and the line scan it falls back to agree on every file."""
+
+    @staticmethod
+    def load(path, expected):
+        if isinstance(expected, str):
+            with pytest.raises(RecordingError) as err:
+                load_recording(path, fs=10.0)
+            assert str(err.value) == f"{path}: {expected}"
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = load_recording(path, fs=10.0)
+        assert {k: v.tolist() for k, v in rec.channels.items()} == expected
+
+    @pytest.mark.parametrize("text, expected", CSV_CASES.values(), ids=CSV_CASES.keys())
+    def test_bulk_and_scan_agree(self, text, expected, tmp_path, monkeypatch):
+        path = tmp_path / "rec.csv"
+        path.write_text(text)
+        self.load(path, expected)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("bulk parse refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        self.load(path, expected)
+
+    def test_clean_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        rec = Recording({"x": rng.normal(size=300), "y": rng.normal(size=300)}, fs=100.0)
+        path = tmp_path / "rec.csv"
+        write_recording(rec, path)
+        monkeypatch.setattr(fhrmon_io, "_scan_csv", None)  # any fallback would raise
+        back = load_recording(path, fs=100.0)
+        for name, channel in rec.channels.items():
+            assert back.channels[name].tobytes() == channel.tobytes()
 
 
 class TestRaw:

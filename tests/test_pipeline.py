@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
@@ -137,7 +138,35 @@ class TestRunPipeline:
         assert rep.metrics is not None
 
 
+# sha256 of each trace file of the FAST_SPEC run (convergence at 2000).
+TRACE_DIGESTS = {
+    "soft": {
+        "preprocess.csv": "77f51a9ca772039ba81518cd29156f3da8ad456582f4d9a67cb43bbf6b6f0b2e",
+        "lms.csv": "d0152c1fe97e4d96df87e832fedfcbec6684abe6134cf89c0c92ad7079aeb885",
+        "fhr.csv": "213ae4d63062434a49f8e8869270380e7921b311202070e1d090c493648f9076",
+        "peaks.csv": "ed5b780f1b8e2cd9b0f2cb3aebb9b037fbd5deb7112491885eb62d1260b97ff3",
+    },
+    "float64": {
+        "preprocess.csv": "bb1104717cfc12bebc653398bd0eb7c369c1c10376febebbace843668d6d1bd6",
+        "lms.csv": "942eb6c77d83ebb4f1e4b8328573ea2999bdb86c2f937e6e0a2a53311f551ee4",
+        "fhr.csv": "edac35a1c1520eb49d8d0d2b8935dc661805627de4703555f617a94b39d0de46",
+        "peaks.csv": "a704415a8913e481c078a3376d2501fc838704fcd3a91d7a4645ef67397d164c",
+    },
+}
+
+
 class TestTraces:
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_trace_files_pinned(self, backend, tmp_path):
+        out = tmp_path / "run"
+        cfg = fast_config(out_dir=str(out), trace=["preprocess", "lms", "fhr"], backend=backend)
+        run_pipeline(cfg)
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in TRACE_DIGESTS[backend]
+        }
+        assert digests == TRACE_DIGESTS[backend]
+
     def test_trace_files_written(self, tmp_path):
         out = tmp_path / "run"
         cfg = fast_config(out_dir=str(out), trace=["preprocess", "lms", "fhr"])
@@ -194,6 +223,41 @@ class TestCompareArchitectures:
         monkeypatch.setattr(PreprocessChain, "process", counting_process)
         compare_architectures(fast_config(arch="both"))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_detects_once_for_both_architectures(self, backend, monkeypatch):
+        calls = []
+        detect_peaks = fhr.detect_peaks
+
+        def counting_detect(*args):
+            calls.append(len(args[1]))
+            return detect_peaks(*args)
+
+        monkeypatch.setattr(fhr, "detect_peaks", counting_detect)
+        cmp_result = compare_architectures(fast_config(arch="both", backend=backend))
+        assert calls == [4000]
+        assert cmp_result.series_report.threshold == cmp_result.parallel_report.threshold
+
+    def test_detects_again_when_error_words_differ(self, monkeypatch):
+        calls = []
+        detect_peaks = fhr.detect_peaks
+        run_canceller = lms.run_canceller
+
+        def counting_detect(*args):
+            calls.append(len(args[1]))
+            return detect_peaks(*args)
+
+        def perturbed(datapath, x, d):
+            errors, first_flag = run_canceller(datapath, x, d)
+            if isinstance(datapath, lms.ParallelDatapath):
+                errors[3000] += 1.0
+            return errors, first_flag
+
+        monkeypatch.setattr(fhr, "detect_peaks", counting_detect)
+        monkeypatch.setattr(lms, "run_canceller", perturbed)
+        with pytest.raises(PipelineError, match="diverge at sample 3000"):
+            compare_architectures(fast_config(arch="both"))
+        assert calls == [4000, 4000]
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     def test_reports_match_single_architecture_runs(self, backend):
@@ -456,8 +520,16 @@ class TestCli:
         [
             ('{"synth": [1]}', "synth must be a JSON object, got [1]"),
             ('{"mu": "0.1", "synth": {}}', "mu must be a number, got '0.1'"),
+            ('{"input_path": 5, "fs": 1000}', "input_path must be a string, got 5"),
+            ('{"synth": {}, "thoracic": 3}', "thoracic must be a string, got 3"),
+            ('{"synth": {}, "abdominal": null}', "abdominal must be a string, got None"),
+            ('{"synth": {}, "input_format": 1}', "input_format must be a string, got 1"),
+            ('{"input_path": "r.csv", "fs": 1000, "annotations_path": ["a"]}',
+             "annotations_path must be a string, got ['a']"),
+            ('{"synth": {}, "out_dir": false}', "out_dir must be a string, got False"),
         ],
-        ids=["synth_list", "mu_string"],
+        ids=["synth_list", "mu_string", "input_path_int", "thoracic_int", "abdominal_null",
+             "input_format_int", "annotations_path_list", "out_dir_bool"],
     )
     def test_config_value_of_wrong_type_exits_2(self, config, message, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -478,6 +550,8 @@ class TestCli:
             ({"maternal_bpm": 1e308}, "maternal_bpm out of [30, 300]: 1e+308"),
             ({"baseline_freq_hz": "x"}, "baseline_freq_hz must be a number, got 'x'"),
             ({"baseline_freq_hz": -0.5}, "baseline_freq_hz must be non-negative and finite"),
+            ({"duration_s": 1e306}, "duration_s * fs must be at most 10000000 samples, got inf"),
+            ({"duration_s": 1e5}, "duration_s * fs must be at most 10000000 samples, got 1e+08"),
         ],
         ids=[
             "duration_string",
@@ -487,6 +561,8 @@ class TestCli:
             "maternal_huge",
             "baseline_freq_string",
             "baseline_freq_negative",
+            "samples_overflow",
+            "samples_over_ceiling",
         ],
     )
     def test_bad_synth_spec_field_exits_2(self, spec, message, tmp_path, capsys):
