@@ -307,26 +307,27 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
 
     def write_csv(name: str, header: str, rows) -> None:
         with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write("\n".join([header, *rows, ""]))
+            fh.write(header)
+            fh.writelines(rows)
 
     if "preprocess" in cfg.trace:
         fe = art.front_end
         pairs = zip(values(fe.thoracic_pp), values(fe.abdominal_pp))
-        write_csv("preprocess.csv", "n,thoracic,abdominal",
-                  (f"{i},{t!r},{a!r}" for i, (t, a) in enumerate(pairs)))
+        write_csv("preprocess.csv", "n,thoracic,abdominal\n",
+                  (f"{i},{t!r},{a!r}\n" for i, (t, a) in enumerate(pairs)))
     if "lms" in cfg.trace:
         words = map(fpu.to_hex if backend.name == "soft" else repr, art.errors)
         rows = zip(words, values(art.errors))
-        write_csv("lms.csv", "n,e_word,e", (f"{i},{w},{e!r}" for i, (w, e) in enumerate(rows)))
+        write_csv("lms.csv", "n,e_word,e\n", (f"{i},{w},{e!r}\n" for i, (w, e) in enumerate(rows)))
     if "fhr" in cfg.trace:
         start = art.convergence_index
-        write_csv("fhr.csv", "n,sdm",
-                  (f"{i},{v!r}" for i, v in enumerate(values(art.detection["sdm"]), start)))
+        write_csv("fhr.csv", "n,sdm\n",
+                  (f"{i},{v!r}\n" for i, v in enumerate(values(art.detection["sdm"]), start)))
     peaks = art.detection["peaks_absolute"]
     fs = art.recording.fs
     sdm = peaks.values or [float("nan")] * len(peaks)
-    write_csv("peaks.csv", "index,time_s,sdm_value",
-              (f"{loc},{loc / fs!r},{v!r}" for loc, v in zip(peaks.locations, sdm)))
+    write_csv("peaks.csv", "index,time_s,sdm_value\n",
+              (f"{loc},{loc / fs!r},{v!r}\n" for loc, v in zip(peaks.locations, sdm)))
 
 
 def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
