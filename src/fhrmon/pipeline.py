@@ -34,6 +34,9 @@ DEFAULT_CLOCK_HZ = 50_000_000
 # Guard band after the convergence marker before scoring starts: enhancement
 # ring fill plus the annotation matching window.
 SCORING_GUARD_SAMPLES = 128
+# Trace words decoded per call: a whole stream held as Python floats at once
+# raises the process's peak memory.
+TRACE_BLOCK = 256
 
 # Published end-to-end convergence times quoted for context next to the raw
 # cycle counts this model produces (see RunReport.reference_times_ms).
@@ -302,8 +305,9 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
     out.mkdir(parents=True, exist_ok=True)
     backend = art.backend
 
-    def values(words) -> list[float]:
-        return backend.to_values(words).tolist()
+    def values(words):
+        for start in range(0, len(words), TRACE_BLOCK):
+            yield from backend.to_values(words[start : start + TRACE_BLOCK]).tolist()
 
     def write_csv(name: str, header: str, rows) -> None:
         with open(out / name, "w", encoding="utf-8") as fh:

@@ -129,8 +129,8 @@ class TestCsv:
             np.testing.assert_array_equal(back.channels[name], rec.channels[name])
 
 
-# CSV bodies under the header "a,b" (or "a"), each with the channels it loads
-# as or the error it raises after "<path>: ".
+# CSV files, each with the channels it loads as or the error it raises after
+# "<path>: ", as the line scan alone reads it.
 CSV_CASES = {
     "blank_lines": ("a,b\n0.5,1.5\n\n-2.5,4.5\n\n", {"a": [0.5, -2.5], "b": [1.5, 4.5]}),
     "whitespace_line": ("a,b\n0.5,1.5\n  \t\n-2.5,4.5\n", {"a": [0.5, -2.5], "b": [1.5, 4.5]}),
