@@ -135,8 +135,9 @@ class PeakEnhancer:
 
 def enhance(backend, samples) -> tuple[list, object]:
     """Run the enhancement pass; returns the sdm sequence and final m1."""
-    enh = PeakEnhancer(backend, n_total=len(samples))
-    sdm = [enh.step(s) for s in samples]
+    enh = PeakEnhancer(backend, n_total=len(samples))  # encodes 1/n outside the scope
+    with backend.rounding_scope():
+        sdm = [enh.step(s) for s in samples]
     return sdm, enh.m1
 
 
@@ -173,11 +174,13 @@ def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object]:
     if not locations:
         return PeakSet(), bk.mul(m1, half)
 
-    acc = bk.zero
-    for loc in locations:
-        acc = bk.add(acc, sdm_seq[loc])
-    m2 = bk.mul(acc, bk.encode(quantized(1.0 / len(locations))))
-    th = bk.mul(bk.add(m1, m2), half)
+    inv_count = bk.encode(quantized(1.0 / len(locations)))  # outside the scope
+    with bk.rounding_scope():
+        acc = bk.zero
+        for loc in locations:
+            acc = bk.add(acc, sdm_seq[loc])
+        m2 = bk.mul(acc, inv_count)
+        th = bk.mul(bk.add(m1, m2), half)
     return PeakSet(locations, [bk.decode(sdm_seq[loc]) for loc in locations]), th
 
 

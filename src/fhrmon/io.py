@@ -140,6 +140,13 @@ class SynthSpec:
                 f"duration_s * fs must be at most {MAX_SYNTH_SAMPLES} samples, "
                 f"got {self.duration_s * self.fs:g}"
             )
+        n = int(round(self.duration_s * self.fs))
+        pulse = 2 * max(half for _, half in _pulse_extents(self.fs)) + 1
+        if pulse > n:
+            raise ValueError(
+                f"fs {self.fs:g} makes the QRS pulse {pulse} samples long, "
+                f"longer than the {n}-sample record"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -149,19 +156,22 @@ class SynthSpec:
         return cls(**data)
 
 
-def _biphasic_pulse(width_s: float, fs: float, sigma_div: float) -> np.ndarray:
+def _pulse_extents(fs: float) -> tuple[tuple[float, int], tuple[float, int]]:
+    """Gaussian sigma and half-length in samples of the maternal and fetal pulses."""
+    maternal = MATERNAL_QRS_WIDTH_S * fs / MATERNAL_SIGMA_DIV
+    fetal = FETAL_QRS_WIDTH_S * fs / FETAL_SIGMA_DIV
+    return (maternal, int(np.ceil(2.5 * maternal))), (fetal, int(np.ceil(3.0 * fetal)))
+
+
+def _biphasic_pulse(sigma: float, half: int) -> np.ndarray:
     """Gaussian-windowed up/down swing, unit positive apex (maternal QRS)."""
-    sigma = width_s * fs / sigma_div
-    half = int(np.ceil(2.5 * sigma))
     t = np.arange(-half, half + 1, dtype=float)
     pulse = np.sin(2.0 * np.pi * t / (2.0 * sigma)) * np.exp(-0.5 * (t / sigma) ** 2)
     return pulse / np.max(np.abs(pulse))
 
 
-def _wavelet_pulse(width_s: float, fs: float, sigma_div: float) -> np.ndarray:
+def _wavelet_pulse(sigma: float, half: int) -> np.ndarray:
     """Single positive apex with small negative shoulders (fetal QRS)."""
-    sigma = width_s * fs / sigma_div
-    half = int(np.ceil(3.0 * sigma))
     t = np.arange(-half, half + 1, dtype=float)
     return (1.0 - (t / sigma) ** 2) * np.exp(-0.5 * (t / sigma) ** 2)
 
@@ -195,8 +205,8 @@ def generate_synthetic(spec: SynthSpec) -> Recording:
     n = int(round(spec.duration_s * spec.fs))
     t = np.arange(n) / spec.fs
 
-    maternal_pulse = _biphasic_pulse(MATERNAL_QRS_WIDTH_S, spec.fs, MATERNAL_SIGMA_DIV)
-    fetal_pulse = _wavelet_pulse(FETAL_QRS_WIDTH_S, spec.fs, FETAL_SIGMA_DIV)
+    maternal, fetal = _pulse_extents(spec.fs)
+    maternal_pulse, fetal_pulse = _biphasic_pulse(*maternal), _wavelet_pulse(*fetal)
     margin = max(len(maternal_pulse), len(fetal_pulse))
 
     maternal_apexes = _beat_apexes(rng, n, spec.maternal_bpm, spec.fs, margin)
@@ -263,7 +273,7 @@ def load_recording(
 def _load_csv(path: Path, fs: float | None) -> Recording:
     if fs is None:
         raise RecordingError("csv recordings need an explicit sampling frequency")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # spreadsheets write a BOM
         header = fh.readline()
         if not header.strip():
             raise RecordingError(f"{path}: empty file")
@@ -365,7 +375,7 @@ def load_annotations(path: str | Path, n_samples: int | None = None) -> dict[str
     """
     path = Path(path)
     raw: dict[str, list[int]] = {"fetal": [], "maternal": []}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -164,16 +164,18 @@ class LmsState:
 
         Scales every tap of the window afresh, as the datapath does, so each
         scaling raises its flags on every sample its tap is in the window.
-        The caller meters the 5m + 3 ops of the step (``ops_per_step``).
+        The ops run in the backend's rounding scope.  The caller meters the
+        5m + 3 ops of the step (``ops_per_step``).
         """
         bk = self.backend
         mul, add = bk.vmul, bk.vadd
         self.window_values.appendleft(x)
-        sx = [mul(tap, self.input_scale) for tap in self.window_values]
-        y = reduce(add, map(mul, sx, self.weight_values), 0.0)
-        e = bk.vsub(mul(d, self.desired_scale), y)
-        be = mul(self.beta, e)
-        self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
+        with bk.rounding_scope():
+            sx = [mul(tap, self.input_scale) for tap in self.window_values]
+            y = reduce(add, map(mul, sx, self.weight_values), 0.0)
+            e = bk.vsub(mul(d, self.desired_scale), y)
+            be = mul(self.beta, e)
+            self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
         return e, y
 
 

@@ -12,9 +12,7 @@ Each backend offers three forms of add/sub/mul:
   encodings: integer words on the soft path, plain floats on the reference
   path.  ``encode``/``decode`` convert single values at the edges.
 * scalar value ops ``vadd``/``vsub``/``vmul`` on Python floats.  On the soft
-  path a float32 is carried as the exact double that holds it: a product is
-  exact in a double and is truncated to 24 bits; a sum is rounded, and its
-  exact residual (TwoSum) says whether the truncated sum is one step lower.
+  path a float32 is carried as the exact double that holds it.
 * bulk ops ``bulk_add``/``bulk_sub``/``bulk_mul`` on numpy arrays of values.
 
 Whole streams cross between words and values with ``to_values``/``to_words``
@@ -32,18 +30,26 @@ to the unchanged ``fpu_*`` function for that element alone, so
 saturation/flush flags and ``OperandError`` messages come from
 :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
 
-Scalar recursions, in which each sample needs the one before (the
-preprocessing filters' output feedback, the running means), run through
-:meth:`_Backend.recur`, ``STREAM_BLOCK`` samples at a time.  On the soft path,
-inside the rounding scope, each op is the Python double op followed by a store
-into and a load from an ``array("f")`` slot.  That C cast to float32 obeys the
-rounding mode; a product of two float32 values is exact in a double, and a sum
-truncated to 53 bits and then to 24 is the sum truncated to 24, so every
-result in the normal range is the fpu's word.  The cast itself flags nothing
-(an overflow gives max normal, a subnormal stays), so after each block every
-op's exact result is rebuilt in bulk from the block's outputs and checked with
-:func:`out_of_range`.  A block with any op outside the range, and every block
-without the scope, reruns on the value ops from its starting state.
+Scalar arithmetic on the soft path is one form, the float32 cast: the Python
+double op, then a store into and a load from an ``array("f")`` slot.  In the
+scope that C cast truncates; a product of two float32 values is exact in a
+double, and a sum truncated to 53 bits and then to 24 is the sum truncated to
+24, so every result in the normal range is the fpu's word.  The cast flags
+nothing (an overflow gives max normal, a subnormal stays), so:
+
+* the scalar value ops test each double result as :func:`out_of_range`
+  would, and send one outside the range to ``fpu_*``.  They cast only while
+  their own backend's scope is open, a flag the backend sets and restores;
+  outside it every op goes to ``fpu_*``, so none can return a round-to-nearest
+  word.  Each caller opens the scope around its op loop and encodes its
+  constants before, since ``encode`` truncates inside it too.
+* scalar recursions, in which each sample needs the one before (the
+  preprocessing filters' output feedback, the running means), run through
+  :meth:`_Backend.recur`, ``STREAM_BLOCK`` samples at a time, as loops of
+  bare casts.  After each block every op's exact result is rebuilt in bulk
+  from the block's outputs and checked with :func:`out_of_range`; a block
+  with any op outside the range, and every block without the scope, reruns
+  on the value ops from its starting state.
 
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
@@ -58,8 +64,7 @@ import operator
 import os
 from array import array
 from collections import deque
-from contextlib import contextmanager, nullcontext
-from math import ulp
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -80,10 +85,6 @@ STREAM_BLOCK = 4096
 
 _MIN_NORMAL = 2.0**-126
 _MAX_NORMAL = fpu.decode(fpu.MAX_NORMAL_MAG)
-_OVERFLOW = 2.0**128  # an exact result this large saturates
-_SPLIT = 2.0**29 + 1  # Veltkamp: t = x * _SPLIT; t - (t - x) is x rounded to 24 bits
-_ULP24 = 2.0**29  # math.ulp(x) * _ULP24: float32 spacing in the binade of x
-_POW2_ULP24 = 2.0**-23  # the float32 spacing at x is x * this iff x is a power of two
 
 # fesetround's FE_TOWARDZERO by machine; on any other machine the soft
 # rounding scope is unavailable and vector work falls back to the exact path.
@@ -122,24 +123,6 @@ def _load_rounding():
     finally:
         setter(previous)
     return (setter, getter, mode) if truncates else False
-
-
-@contextmanager
-def _toward_zero():
-    """Round-toward-zero for the duration; yields False if it cannot be set."""
-    global _rounding
-    if _rounding is None:
-        _rounding = _load_rounding()
-    if not _rounding:
-        yield False
-        return
-    setter, getter, mode = _rounding
-    previous = getter()
-    setter(mode)
-    try:
-        yield True
-    finally:
-        setter(previous)
 
 
 def out_of_range(exact, lo: float, hi: float) -> np.ndarray:
@@ -232,14 +215,13 @@ class _Backend:
         return outputs, state
 
     def _recur_block(self, stage, state, block):
-        if self.block_range is not None:
-            with self.rounding_scope() as available, np.errstate(all="ignore"):
-                if available:
-                    out, end = stage.cast_loop(state, *block)
-                    replay = stage.replay(state, np.frombuffer(out), *block)
-                    if not any_out_of_range(replay, *self.block_range):
-                        return out, end
-        return stage.value_loop(state, *block)
+        with self.rounding_scope() as available, np.errstate(all="ignore"):
+            if available and self.block_range is not None:
+                out, end = stage.cast_loop(state, *block)
+                replay = stage.replay(state, np.frombuffer(out), *block)
+                if not any_out_of_range(replay, *self.block_range):
+                    return out, end
+            return stage.value_loop(state, *block)
 
 
 class SoftF32Backend(_Backend):
@@ -259,6 +241,9 @@ class SoftF32Backend(_Backend):
         self.flags = FpuFlags()
         self.ops = OpMeter()
         self.zero = fpu.ZERO_POS
+        self._depth = 0  # rounding scopes open, nested
+        self._scoped = False  # whether they truncate
+        self._slot = array("f", [0.0])  # the value ops' float32 cast
         # Two words, also viewed as the two float32 values they hold: operands
         # cross between words and values here, one op at a time.
         self._words = array("I", [0, 0])
@@ -270,17 +255,40 @@ class SoftF32Backend(_Backend):
     def decode(self, word: int) -> float:
         return fpu.decode(word)
 
-    @staticmethod
-    def rounding_scope():
-        """Float32 numpy arithmetic truncates inside; yields whether it does.
+    def rounding_scope(self):
+        """Float32 arithmetic truncates inside; entering gives whether it does.
 
         The rounding mode is the C library's, per thread, set with
         ``fesetround`` (loaded through ctypes on first use) and restored on
         exit.  Within ``block_range`` the results are the value ops' words;
         outside it, and for subnormal results, they are not, and the caller
-        must check.  Every double op made inside the scope truncates too.
+        must check.  Every double op made inside the scope truncates too, and
+        so does ``encode``.  The scalar value ops cast only while this
+        backend's scope is open; a scope opened inside it changes nothing.
+        The backend is its own context manager, cheaper than a generator's:
+        :meth:`LmsState.update` opens a scope per sample.
         """
-        return _toward_zero()
+        return self
+
+    def __enter__(self) -> bool:
+        global _rounding
+        self._depth += 1
+        if self._depth == 1:
+            if _rounding is None:
+                _rounding = _load_rounding()
+            if _rounding:
+                setter, getter, mode = _rounding
+                self._restore = setter, getter()
+                setter(mode)
+                self._scoped = True
+        return self._scoped
+
+    def __exit__(self, *exc_info) -> None:
+        self._depth -= 1
+        if self._depth == 0 and self._scoped:
+            self._scoped = False
+            setter, previous = self._restore
+            setter(previous)
 
     # -- word methods: adapters over the value ops ------------------------
 
@@ -320,42 +328,18 @@ class SoftF32Backend(_Backend):
 
     # -- scalar value ops ---------------------------------------------------
 
-    # vadd and vmul run once per add or multiply of every stage loop.  They
-    # branch on the sign of the result instead of calling abs/copysign, and
-    # compare with float literals (0.0, not 0), which CPython's float-compare
-    # fast path needs.
+    # vadd and vmul run once per op of detection and of the exact paths.
+    # They compare floats with floats, which CPython's float-compare fast
+    # path needs, and test -s instead of calling abs.
 
     def vadd(self, a: float, b: float) -> float:
         """``fpu_add`` on float32 values."""
-        s = a + b
-        if s > 0.0:
-            if _MIN_NORMAL <= s < _OVERFLOW:
-                t = s * _SPLIT
-                h = t - (t - s)
-                if h != s:
-                    # s is off the float32 grid, so the exact sum lies between
-                    # the same two neighbours: truncate s.
-                    return h if h < s else h - ulp(s) * _ULP24
-                z = s - a
-                if (a - (s - z)) + (b - z) >= 0.0:  # TwoSum residual
-                    return s  # exact, or rounded toward zero
-                # Rounded away from zero onto the grid: step one float32
-                # inward, a half step below a power of two.
-                u = ulp(s) * _ULP24
-                return s - (u * 0.5 if u == s * _POW2_ULP24 else u)
-        elif s < 0.0:
-            if -_OVERFLOW < s <= -_MIN_NORMAL:
-                t = s * _SPLIT
-                h = t - (t - s)
-                if h != s:
-                    return h if h > s else h + ulp(s) * _ULP24
-                z = s - a
-                if (a - (s - z)) + (b - z) <= 0.0:
-                    return s
-                u = ulp(s) * _ULP24
-                return s + (u * 0.5 if u == -s * _POW2_ULP24 else u)
-        elif s == 0.0:
-            return s  # an exact zero takes IEEE's sign, as fpu_add does
+        if self._scoped:
+            s = a + b  # the exact sum truncated to 53 bits
+            if _MIN_NORMAL <= s < _MAX_NORMAL or _MIN_NORMAL <= -s < _MAX_NORMAL or s == 0.0:
+                slot = self._slot
+                slot[0] = s  # and to 24
+                return slot[0]
         return self._oracle(fpu.fpu_add, a, b)
 
     def vsub(self, a: float, b: float) -> float:
@@ -364,19 +348,12 @@ class SoftF32Backend(_Backend):
 
     def vmul(self, a: float, b: float) -> float:
         """``fpu_mul`` on float32 values."""
-        p = a * b  # exact: 24 x 24 mantissa bits fit in 53
-        if p > 0.0:
-            if _MIN_NORMAL <= p < _OVERFLOW:
-                t = p * _SPLIT
-                h = t - (t - p)  # p rounded to 24 bits; truncate instead
-                return h if h <= p else h - ulp(p) * _ULP24
-        elif p < 0.0:
-            if -_OVERFLOW < p <= -_MIN_NORMAL:
-                t = p * _SPLIT
-                h = t - (t - p)
-                return h if h >= p else h + ulp(p) * _ULP24
-        elif p == 0.0:
-            return p  # a zero operand: the XOR of the signs, as fpu_mul gives
+        if self._scoped:
+            p = a * b  # exact: 24 x 24 mantissa bits fit in 53
+            if _MIN_NORMAL <= p < _MAX_NORMAL or _MIN_NORMAL <= -p < _MAX_NORMAL or p == 0.0:
+                slot = self._slot
+                slot[0] = p
+                return slot[0]
         return self._oracle(fpu.fpu_mul, a, b)
 
     def _oracle(self, op, a: float, b: float) -> float:

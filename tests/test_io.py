@@ -145,6 +145,7 @@ CSV_CASES = {
     "non_numeric": ("a,b\n1.0,2.0\n3.0,x\n", "line 3: non-numeric cell 'x'"),
     "empty_cell": ("a,b\n1.0,\n", "line 2: non-numeric cell ''"),
     "hash_cell": ("a,b\n1.0,2.0\n#3.0,4.0\n", "line 3: non-numeric cell '#3.0'"),
+    "byte_order_mark": ("\ufeffa,b\n0.5,1.5\n-2.5,4.5\n", {"a": [0.5, -2.5], "b": [1.5, 4.5]}),
 }
 
 
@@ -166,7 +167,7 @@ class TestCsvReaders:
     @pytest.mark.parametrize("text, expected", CSV_CASES.values(), ids=CSV_CASES.keys())
     def test_bulk_and_scan_agree(self, text, expected, tmp_path, monkeypatch):
         path = tmp_path / "rec.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         self.load(path, expected)
 
         def refuse(*args, **kwargs):

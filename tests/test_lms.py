@@ -314,16 +314,17 @@ def rescaling_canceller(cfg: LmsConfig, bk, x_values, d_values):
     beta, m = quantized(cfg.beta), cfg.order
     window, weights = [0.0] * m, [0.0] * m
     errors, first_flag = [], None
-    for i, (x, d) in enumerate(zip(x_values, d_values)):
-        window = [x] + window[:-1]
-        sx = [bk.vmul(tap, input_scale) for tap in window]
-        y = reduce(bk.vadd, map(bk.vmul, sx, weights), 0.0)
-        e = bk.vsub(bk.vmul(d, desired_scale), y)
-        be = bk.vmul(beta, e)
-        weights = [bk.vadd(w, bk.vmul(be, tap)) for w, tap in zip(weights, sx)]
-        errors.append(e)
-        if first_flag is None and bk.flags.any():
-            first_flag = i
+    with bk.rounding_scope():
+        for i, (x, d) in enumerate(zip(x_values, d_values)):
+            window = [x] + window[:-1]
+            sx = [bk.vmul(tap, input_scale) for tap in window]
+            y = reduce(bk.vadd, map(bk.vmul, sx, weights), 0.0)
+            e = bk.vsub(bk.vmul(d, desired_scale), y)
+            be = bk.vmul(beta, e)
+            weights = [bk.vadd(w, bk.vmul(be, tap)) for w, tap in zip(weights, sx)]
+            errors.append(e)
+            if first_flag is None and bk.flags.any():
+                first_flag = i
     bk.ops.tally(len(errors), add=2 * m, sub=1, mul=3 * m + 2)
     return errors, first_flag, window, weights
 
@@ -402,10 +403,12 @@ def update_loop(datapath, xw, dw):
     bk = state.backend
     entry_total = bk.flags.overflow + bk.flags.underflow
     errors, first_flag = [], None
-    for i, (x, d) in enumerate(zip(bk.to_values(xw).tolist(), bk.to_values(dw).tolist())):
-        errors.append(state.update(x, d)[0])
-        if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
-            first_flag = i
+    x_values, d_values = bk.to_values(xw).tolist(), bk.to_values(dw).tolist()
+    with bk.rounding_scope():
+        for i, (x, d) in enumerate(zip(x_values, d_values)):
+            errors.append(state.update(x, d)[0])
+            if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
+                first_flag = i
     bk.ops.tally(len(errors), **state.ops_per_step)
     datapath.stats.tally(datapath.schedule, len(errors))
     return bk.to_words(errors), first_flag

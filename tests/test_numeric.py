@@ -1,8 +1,10 @@
 """Soft backend against the bit-level unit, and the op counts the stages issue.
 
-The soft backend's add/sub/mul take a fast path for normal operands with a
-normal result and defer every other case to ``fpu_*``; these tests hold the
-backend to ``fpu.py`` word for word, flag for flag and message for message.
+Inside the rounding scope the soft backend's add/sub/mul take a float32 cast
+for normal operands with a normal result and defer every other case to
+``fpu_*``; outside it every case goes there.  These tests run the ops in the
+scope and hold the backend to ``fpu.py`` word for word, flag for flag and
+message for message.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ def _outcome(fn, *args):
 
 
 def _assert_matches_oracle(pairs):
-    """Per pair: same word or error text, and the same flags raised."""
+    """Per pair, in the rounding scope: same word or error text, and the same flags raised."""
     for name, oracle in ORACLES.items():
         backend = SoftF32Backend()
         method = getattr(backend, name)
         ref_flags = FpuFlags()
-        for a, b in pairs:
-            got = _outcome(method, a, b)
-            want = _outcome(oracle, a, b, ref_flags)
-            assert got == want, f"{name}({a:#010x}, {b:#010x})"
-            assert backend.flags == ref_flags, f"{name}({a:#010x}, {b:#010x}) flags"
+        with backend.rounding_scope():
+            for a, b in pairs:
+                got = _outcome(method, a, b)
+                want = _outcome(oracle, a, b, ref_flags)
+                assert got == want, f"{name}({a:#010x}, {b:#010x})"
+                assert backend.flags == ref_flags, f"{name}({a:#010x}, {b:#010x}) flags"
 
 
 def _words(sign, exponent, fraction):
@@ -65,7 +68,8 @@ class TestSoftBackendDifferential:
         for name in ORACLES:
             backend = SoftF32Backend()
             ref_flags = million_pairs.flags[name]
-            got = list(map(getattr(backend, name), a, b))
+            with backend.rounding_scope():
+                got = list(map(getattr(backend, name), a, b))
             assert got == million_pairs.words[name].tolist(), name
             assert backend.flags == ref_flags, name
             assert ref_flags.any()  # the random exponents do leave the range
@@ -130,8 +134,9 @@ class TestSoftBackendDifferential:
 def _assert_value_ops_match_oracle(pairs):
     """Scalar and bulk value ops on the values of normal-or-zero word pairs.
 
-    Per pair the scalar op gives the oracle's word and raises its flags; the
-    bulk op over all pairs gives the same words and flag totals.
+    Per pair the scalar op, in the rounding scope, gives the oracle's word and
+    raises its flags; the bulk op over all pairs gives the same words and flag
+    totals.
     """
     a_words = [a for a, _ in pairs]
     b_words = [b for _, b in pairs]
@@ -141,10 +146,12 @@ def _assert_value_ops_match_oracle(pairs):
         vop = getattr(scalar, f"v{name}")
         a_vals, b_vals = scalar.to_values(a_words).tolist(), scalar.to_values(b_words).tolist()
         want = []
-        for a, b, x, y in zip(a_words, b_words, a_vals, b_vals):
-            want.append(oracle(a, b, ref_flags))
-            assert scalar.to_words([vop(x, y)]) == want[-1:], f"v{name}({a:#010x}, {b:#010x})"
-            assert scalar.flags == ref_flags, f"v{name}({a:#010x}, {b:#010x}) flags"
+        with scalar.rounding_scope():
+            for a, b, x, y in zip(a_words, b_words, a_vals, b_vals):
+                want.append(oracle(a, b, ref_flags))
+                got = scalar.to_words([vop(x, y)])
+                assert got == want[-1:], f"v{name}({a:#010x}, {b:#010x})"
+                assert scalar.flags == ref_flags, f"v{name}({a:#010x}, {b:#010x}) flags"
         bulk = SoftF32Backend()
         out = getattr(bulk, f"bulk_{name}")(bulk.to_values(a_words), bulk.to_values(b_words))
         assert bulk.to_words(out) == want, f"bulk_{name}"
@@ -198,7 +205,8 @@ class TestValueOpsDifferential:
             want = million_pairs.words[name].tolist()
             scalar, bulk = SoftF32Backend(), SoftF32Backend()
             a_vals, b_vals = scalar.to_values(a), scalar.to_values(b)
-            got = list(map(getattr(scalar, f"v{name}"), a_vals.tolist(), b_vals.tolist()))
+            with scalar.rounding_scope():
+                got = list(map(getattr(scalar, f"v{name}"), a_vals.tolist(), b_vals.tolist()))
             assert scalar.to_words(got) == want, f"v{name}"
             assert scalar.flags == ref_flags, f"v{name}"
             out = getattr(bulk, f"bulk_{name}")(a_vals, b_vals)
@@ -239,6 +247,29 @@ class TestValueOpsDifferential:
             assert backend.flags == ref_flags
             backend.flags = FpuFlags()
 
+    def test_outside_the_scope_no_op_rounds_to_nearest(self, million_pairs):
+        # seeded pairs with a normal result that round-to-nearest float32 gets wrong
+        a32, b32 = million_pairs.a.view(np.float32), million_pairs.b.view(np.float32)
+        a64, b64 = a32.astype(np.float64), b32.astype(np.float64)
+        backend = SoftF32Backend()
+        with backend.rounding_scope():  # a closed scope leaves nothing open
+            pass
+        for name, ufunc in (("add", np.add), ("mul", np.multiply)):
+            want = million_pairs.words[name]
+            exact = ufunc(a64, b64)
+            with np.errstate(all="ignore"):
+                nearest = exact.astype(np.float32).view(np.uint32)
+            mag = np.abs(exact)
+            picked = np.flatnonzero((nearest != want) & (mag >= 2.0**-126) & (mag < 2.0**127))
+            picked = picked[:5000]
+            assert len(picked) == 5000, name
+            a_w, b_w = million_pairs.a[picked].tolist(), million_pairs.b[picked].tolist()
+            vop, word_op = getattr(backend, f"v{name}"), getattr(backend, name)
+            got = list(map(vop, a64[picked].tolist(), b64[picked].tolist()))
+            assert backend.to_words(got) == want[picked].tolist(), f"v{name}"
+            assert list(map(word_op, a_w, b_w)) == want[picked].tolist(), name
+        assert not backend.flags.any()
+
     def test_stream_conversion_rejects_operands_fpu_rejects(self):
         backend = SoftF32Backend()
         for bad in (join(0, 255, 0), join(1, 255, 0x400000), join(0, 0, 1)):
@@ -253,7 +284,7 @@ def _rounding_scope():
     """The soft rounding scope, which must be available on x86-64 Linux."""
     if os.uname().machine != "x86_64":
         pytest.skip("round-toward-zero is only tested on x86-64")
-    return SoftF32Backend.rounding_scope()
+    return SoftF32Backend().rounding_scope()
 
 
 class TestRoundTowardZeroArithmetic:
@@ -300,9 +331,10 @@ def test_every_form_matches_fpu_on_normal_words(a, b):
         ref_flags = FpuFlags()
         want = oracle(a, b, ref_flags)
         words, values, bulk = SoftF32Backend(), SoftF32Backend(), SoftF32Backend()
-        assert getattr(words, name)(a, b) == want
         x, y = values.to_values([a, b]).tolist()
-        assert values.to_words([getattr(values, f"v{name}")(x, y)]) == [want]
+        with words.rounding_scope(), values.rounding_scope():
+            assert getattr(words, name)(a, b) == want
+            assert values.to_words([getattr(values, f"v{name}")(x, y)]) == [want]
         out = getattr(bulk, f"bulk_{name}")(bulk.to_values([a]), bulk.to_values([b]))
         assert bulk.to_words(out) == [want]
         assert words.flags == values.flags == bulk.flags == ref_flags

@@ -445,6 +445,25 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: channel 'chest'")
 
+    def test_channels_and_annotations_after_a_byte_order_mark_resolve(self, tmp_path, capsys):
+        rec = generate_synthetic(FAST_SPEC)
+        rec_path, ann_path = tmp_path / "rec.csv", tmp_path / "rec.ann"
+        write_recording(Recording({"a": rec.channel("thoracic"), "b": rec.channel("abdominal")},
+                                  fs=rec.fs), rec_path)
+        write_annotations(ann_path, rec.annotations)
+        argv = ["run", "--input", str(rec_path), "--fs", "1000", "--thoracic", "a",
+                "--abdominal", "b", "--annotations", str(ann_path), "--backend", "float64",
+                "--convergence-index", "2000"]
+        assert cli_main(argv) == 0
+        want = json.loads(capsys.readouterr().out)["metrics"]
+        assert want["true_positives"] > 0
+        for path in (rec_path, ann_path):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as spreadsheets save it
+        assert cli_main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == []
+        assert report["metrics"] == want
+
     def test_out_of_range_synth_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         csv_path = tmp_path / "synth.csv"
@@ -552,6 +571,8 @@ class TestCli:
             ({"baseline_freq_hz": -0.5}, "baseline_freq_hz must be non-negative and finite"),
             ({"duration_s": 1e306}, "duration_s * fs must be at most 10000000 samples, got inf"),
             ({"duration_s": 1e5}, "duration_s * fs must be at most 10000000 samples, got 1e+08"),
+            ({"duration_s": 5e-4, "fs": 2e7},
+             "fs 2e+07 makes the QRS pulse 1000001 samples long, longer than the 10000-sample record"),
         ],
         ids=[
             "duration_string",
@@ -563,6 +584,7 @@ class TestCli:
             "baseline_freq_negative",
             "samples_overflow",
             "samples_over_ceiling",
+            "pulse_longer_than_record",
         ],
     )
     def test_bad_synth_spec_field_exits_2(self, spec, message, tmp_path, capsys):

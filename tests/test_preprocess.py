@@ -298,7 +298,9 @@ class TestStageMajorProcess:
         run_chain, step_chain = PreprocessChain(bk_run), PreprocessChain(bk_step)
         # Two calls: the second resumes from the state the first left.
         got = run_chain.process(x[:1234]) + run_chain.process(x[1234:])
-        want = [step_chain.step(bk_step.encode(float(v))) for v in x]
+        samples = [bk_step.encode(float(v)) for v in x]  # rounded to nearest, outside the scope
+        with bk_step.rounding_scope():
+            want = [step_chain.step(w) for w in samples]
         assert got == want
         assert bk_run.flags == bk_step.flags
         assert bk_run.ops == bk_step.ops
@@ -344,14 +346,19 @@ def _stage_state(stage):
 
 
 def _step_loop(stage, values):
-    """Words of ``stage.step`` over ``values``, and the samples whose step raised a flag."""
+    """Words of ``stage.step`` over ``values``, and the samples whose step raised a flag.
+
+    The loop runs in the rounding scope; ``values`` are float32 values, which
+    ``encode`` converts exactly there too.
+    """
     bk = stage.backend
     words, flagged = [], []
-    for k, v in enumerate(values.tolist()):
-        before = bk.flags.overflow + bk.flags.underflow
-        words.append(stage.step(bk.encode(v)))
-        if bk.flags.overflow + bk.flags.underflow > before:
-            flagged.append(k)
+    with bk.rounding_scope():
+        for k, v in enumerate(values.tolist()):
+            before = bk.flags.overflow + bk.flags.underflow
+            words.append(stage.step(bk.encode(v)))
+            if bk.flags.overflow + bk.flags.underflow > before:
+                flagged.append(k)
     return words, flagged
 
 
