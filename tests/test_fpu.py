@@ -21,7 +21,6 @@ from fhrmon.fpu import (
     fpu_op,
     fpu_sub,
     join,
-    normalize,
     split,
 )
 
@@ -158,6 +157,7 @@ class TestDirectedArithmetic:
         assert fpu_mul(bits(3.0), 0x00000000) == 0x00000000
         assert fpu_mul(bits(-3.0), 0x00000000) == 0x80000000
         assert fpu_mul(0x80000000, bits(-1.0)) == 0x00000000
+        assert repr(decode(0x00000000)) == "0.0" and repr(decode(0x80000000)) == "-0.0"
 
     def test_cancellation_keeps_low_bits(self):
         # 1.0 - (1 - 2^-24) needs the aligned-out bit to survive the subtract
@@ -265,39 +265,6 @@ class TestCompare:
                 assert {x, y} == {CmpCode.GREATER, CmpCode.LESS}
 
 
-class TestNormalize:
-    def test_already_normal_unchanged(self):
-        frac, exp = normalize((1 << 23) | 0x123456, 100)
-        assert frac == 0x123456 and exp == 100
-
-    def test_single_left_shift(self):
-        frac, exp = normalize(1 << 22, 100)
-        assert frac == 0 and exp == 99
-
-    def test_wide_product_truncates(self):
-        rng = np.random.default_rng(13)
-        for _ in range(2000):
-            ma = int(rng.integers(1 << 23, 1 << 24))
-            mb = int(rng.integers(1 << 23, 1 << 24))
-            prod = ma * mb
-            frac, exp = normalize(prod, 100, frac_bits=46)
-            # value preserved up to truncation at 23 fraction bits
-            got = (1.0 + frac / 2.0**23) * 2.0 ** (exp - 100)
-            exact = prod / 2.0**46
-            assert got <= exact < got * (1 + 2.0**-22)
-
-    def test_rejects_zero_mantissa(self):
-        with pytest.raises(ValueError):
-            normalize(0, 100)
-
-    def test_flags_on_range_violation(self):
-        flags = FpuFlags()
-        normalize(1 << 23, 300, flags=flags)
-        assert flags.overflow == 1
-        normalize(1 << 23, -5, flags=flags)
-        assert flags.underflow == 1
-
-
 class TestDispatchAndHex:
     def test_dispatch_matches_functions(self):
         a, b = bits(2.5), bits(-0.75)
@@ -317,13 +284,6 @@ class TestDispatchAndHex:
     def test_hex_roundtrip(self):
         for w in (0x00000000, 0x80000000, 0x3F800000, 0xFF7FFFFF):
             assert fpu.from_hex(fpu.to_hex(w)) == w
-
-    def test_classification_predicates(self):
-        assert fpu.is_zero(0x00000000) and fpu.is_zero(0x80000000)
-        assert decode(0x00000000) == 0.0 and decode(0x80000000) == -0.0
-        assert fpu.is_normal(bits(1.0)) and fpu.is_normal(join(1, 254, 0x7FFFFF))
-        for w in (0x00000000, join(0, 0, 5), join(0, 255, 0)):
-            assert not fpu.is_normal(w)
 
 
 # ---- property tests ----

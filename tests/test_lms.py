@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import warnings
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
+from reference import Arithmetic
 
 from fhrmon import fpu, lms, numeric
 from fhrmon.lms import (
@@ -21,36 +22,56 @@ from fhrmon.lms import (
     Schedule,
     SeriesDatapath,
     choose_scale_factor,
-    lms_step,
     make_datapath,
     parallel_fpu_instances,
 )
-from fhrmon.numeric import make_backend, quantized
+from fhrmon.numeric import make_backend
 from fhrmon.preprocess import STREAM_BLOCK, PreprocessChain
+
+
+def reference_canceller(kind: str, cfg: LmsConfig, xw, dw):
+    """The reference canceller over channels of words: ``(errors, first_flag, arithmetic, lms)``."""
+    ar = Arithmetic(kind)
+    ref = reference.Lms(ar, cfg)
+    errors, first_flag = reference.cancel(ref, xw, dw)
+    return errors, first_flag, ar, ref
+
+
+def state_words(datapath) -> tuple[list, list]:
+    """A datapath's tap window and weights, as backend words."""
+    st = datapath.state
+    return st.backend.to_words(st.window_values), st.backend.to_words(st.weight_values)
+
+
+def tallied_stats(datapath, n: int) -> CycleStats:
+    """Fresh stats for ``datapath``'s schedule, tallied one sample at a time for ``n`` samples."""
+    stats = CycleStats(datapath.schedule.cycles, datapath.stats.fpu_instances)
+    for _ in range(n):
+        stats.tally(datapath.schedule)
+    return stats
 
 
 class TestPlainStep:
     def test_zero_weights_pass_desired_through(self):
-        bk = make_backend("soft")
-        st = LmsState(LmsConfig(order=5), bk)
-        e, y = lms_step(st, bk.encode(0.7), bk.encode(-0.3))
-        assert bk.decode(y) == 0.0
-        assert bk.decode(e) == bk.decode(bk.encode(-0.3))
+        ar = Arithmetic("soft")
+        st = reference.Lms(ar, LmsConfig(order=5))
+        e, y = st.step(ar.sample(0.7), ar.sample(-0.3))
+        assert ar.value(y) == 0.0
+        assert ar.value(e) == ar.value(ar.sample(-0.3))
 
     def test_order_one_hand_evaluation(self):
         # x=1, d=1, zero weight: y=0, e=1, then w = 2*mu*1*1
-        bk = make_backend("soft")
-        st = LmsState(LmsConfig(order=1), bk)
-        e, y = lms_step(st, bk.encode(1.0), bk.encode(1.0))
-        assert bk.decode(y) == 0.0
-        assert bk.decode(e) == 1.0
-        assert bk.decode(st.weights[0]) == np.float32(2 * 7e-5)
+        ar = Arithmetic("soft")
+        st = reference.Lms(ar, LmsConfig(order=1))
+        e, y = st.step(ar.sample(1.0), ar.sample(1.0))
+        assert ar.value(y) == 0.0
+        assert ar.value(e) == 1.0
+        assert ar.value(st.weights[0]) == np.float32(2 * 7e-5)
 
     def test_window_shifts_most_recent_first(self):
-        bk = make_backend("float64")
-        st = LmsState(LmsConfig(order=3), bk)
+        st = reference.Lms(Arithmetic("float64"), LmsConfig(order=3))
         for v in (1.0, 2.0, 3.0):
-            lms_step(st, v, 0.0)
+            st.step(v, 0.0)
         assert st.window == [3.0, 2.0, 1.0]
 
     def test_config_validation(self):
@@ -73,10 +94,10 @@ class TestCycleAccounting:
     def test_parallel_single_cycle(self):
         bk = make_backend("soft")
         dp = ParallelDatapath(LmsConfig(order=19), bk)
-        dp.step(bk.encode(0.5), bk.encode(0.25))
+        lms.run_canceller(dp, [bk.encode(0.5)], [bk.encode(0.25)])
         assert dp.stats.cycles_per_sample == 1
         assert dp.stats.total_cycles == 1
-        dp.step(bk.encode(0.5), bk.encode(0.25))
+        lms.run_canceller(dp, [bk.encode(0.5)], [bk.encode(0.25)])
         assert dp.stats.total_cycles == 2
 
     def test_total_cycles_law(self):
@@ -84,8 +105,8 @@ class TestCycleAccounting:
         s = SeriesDatapath(LmsConfig(order=19), bk)
         p = ParallelDatapath(LmsConfig(order=19), make_backend("soft"))
         for _ in range(7):
-            s.step(bk.encode(0.1), bk.encode(0.2))
-            p.step(bk.encode(0.1), bk.encode(0.2))
+            lms.run_canceller(s, [bk.encode(0.1)], [bk.encode(0.2)])
+            lms.run_canceller(p, [bk.encode(0.1)], [bk.encode(0.2)])
         assert s.stats.total_cycles == 39 * 7
         assert p.stats.total_cycles == 7
         assert s.stats.total_cycles == p.stats.total_cycles * 39
@@ -95,8 +116,8 @@ class TestCycleAccounting:
         bk = make_backend("soft")
         s = SeriesDatapath(LmsConfig(order=m), bk)
         p = ParallelDatapath(LmsConfig(order=m), make_backend("soft"))
-        s.step(bk.encode(0.5), bk.encode(0.25))
-        p.step(bk.encode(0.5), bk.encode(0.25))
+        lms.run_canceller(s, [bk.encode(0.5)], [bk.encode(0.25)])
+        lms.run_canceller(p, [bk.encode(0.5)], [bk.encode(0.25)])
         assert s.stats.fpu_ops_issued == 5 * m + 3
         assert p.stats.fpu_ops_issued == 5 * m + 3
         assert s.stats.max_ops_per_cycle <= s.stats.fpu_instances == 9
@@ -123,20 +144,19 @@ class TestArchitectureEquivalence:
     @pytest.mark.parametrize("m", [1, 2, 19])
     def test_bit_identical_outputs_and_weights(self, m):
         rng = np.random.default_rng(40 + m)
-        bks = [make_backend("soft") for _ in range(3)]
+        bks = [make_backend("soft") for _ in range(2)]
         cfg = LmsConfig(order=m, input_scale=2.0, desired_scale=4.0)
         series = SeriesDatapath(cfg, bks[0])
         parallel = ParallelDatapath(cfg, bks[1])
-        plain = LmsState(cfg, bks[2])
-        for x, d in zip(rng.uniform(-2, 2, 400), rng.uniform(-2, 2, 400)):
-            xw = bks[0].encode(float(x))
-            dw = bks[0].encode(float(d))
-            e1, _ = series.step(xw, dw)
-            e2, _ = parallel.step(xw, dw)
-            e3, _ = lms_step(plain, xw, dw)
-            assert e1 == e2 == e3
-        assert series.state.weights == parallel.state.weights == plain.weights
-        assert series.state.window == parallel.state.window == plain.window
+        plain = reference.Lms(Arithmetic("soft"), cfg)
+        x, d = rng.uniform(-2, 2, 400), rng.uniform(-2, 2, 400)
+        xw = [bks[0].encode(float(v)) for v in x]
+        dw = [bks[0].encode(float(v)) for v in d]
+        e1, _ = lms.run_canceller(series, xw, dw)
+        e2, _ = lms.run_canceller(parallel, xw, dw)
+        e3, _ = reference.cancel(plain, xw, dw)
+        assert e1 == e2 == e3
+        assert state_words(series) == state_words(parallel) == (plain.window, plain.weights)
 
 
 class TestScaling:
@@ -180,10 +200,9 @@ class TestConvergence:
         x = rng.choice([-2.0, 2.0], size=12000)
         d = np.convolve(x, true_w)[: len(x)]
         bk = make_backend("soft")
-        st = LmsState(LmsConfig(order=m), bk)
-        for xv, dv in zip(x, d):
-            lms_step(st, bk.encode(float(xv)), bk.encode(float(dv)))
-        w_hat = np.array([bk.decode(w) for w in st.weights])
+        dp = ParallelDatapath(LmsConfig(order=m), bk)
+        lms.run_canceller(dp, [bk.encode(float(v)) for v in x], [bk.encode(float(v)) for v in d])
+        w_hat = np.array(dp.state.weight_values)
         assert np.linalg.norm(w_hat - true_w) < 0.10 * np.linalg.norm(true_w)
 
     def test_stability_guard_no_saturation(self):
@@ -251,7 +270,7 @@ class TestConvergence:
 
 
 class TestCancellerKernel:
-    """``run_canceller`` against a loop of ``_Datapath.step``."""
+    """``run_canceller`` against the reference canceller."""
 
     @staticmethod
     def inputs(case, bk):
@@ -269,23 +288,21 @@ class TestCancellerKernel:
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     @pytest.mark.parametrize("case", ["stable", "saturating"])
     @pytest.mark.parametrize("datapath", [SeriesDatapath, ParallelDatapath])
-    def test_matches_step_loop(self, backend, case, datapath):
-        bk_run, bk_step = make_backend(backend), make_backend(backend)
+    def test_matches_step_loop(self, backend, case, datapath, reference_runs):
+        bk_run = make_backend(backend)
         cfg, xw, dw = self.inputs(case, bk_run)
-        run_dp, step_dp = datapath(cfg, bk_run), datapath(cfg, bk_step)
+        run_dp = datapath(cfg, bk_run)
         errors, first_flag = lms.run_canceller(run_dp, xw, dw)
-        want, want_first = [], None
-        for i, (x, d) in enumerate(zip(xw, dw)):
-            want.append(step_dp.step(x, d)[0])
-            if want_first is None and bk_step.flags.any():
-                want_first = i
+        want, want_first, ar, ref = reference_runs(
+            (backend, case), lambda: reference_canceller(backend, cfg, xw, dw)
+        )
         # float64 words diverge to NaN on the saturating input; NaN == NaN here
         np.testing.assert_array_equal(np.array(errors), np.array(want))
         assert first_flag == want_first
-        assert bk_run.flags == bk_step.flags
-        assert bk_run.ops == bk_step.ops
-        assert run_dp.stats.to_dict() == step_dp.stats.to_dict()
-        np.testing.assert_array_equal(run_dp.state.weights, step_dp.state.weights)
+        assert bk_run.flags == ar.flags
+        assert bk_run.ops == ar.ops
+        assert run_dp.stats.to_dict() == tallied_stats(run_dp, len(xw)).to_dict()
+        np.testing.assert_array_equal(state_words(run_dp)[1], ref.weights)
         if backend == "soft" and case == "saturating":
             assert first_flag is not None
 
@@ -296,41 +313,17 @@ class TestCancellerKernel:
         dw = [bk.encode(0.125)] * 3
         with pytest.raises(fpu.OperandError) as raised:
             lms.run_canceller(ParallelDatapath(LmsConfig(order=2), bk), xw, dw)
-        dp = ParallelDatapath(LmsConfig(order=2), make_backend("soft"))
         with pytest.raises(fpu.OperandError) as want:
-            for x, d in zip(xw, dw):
-                dp.step(x, d)
+            reference_canceller("soft", LmsConfig(order=2), xw, dw)
         assert str(raised.value) == str(want.value)
 
 
-def rescaling_canceller(cfg: LmsConfig, bk, x_values, d_values):
-    """Reference LMS loop that scales every window tap afresh each sample.
-
-    The same 5m + 3 ops in the same order as the modelled datapath, written
-    out independently of ``LmsState``.  Tallies the meter like a kernel and
-    returns ``(errors, first_flag, window, weights)``, all as values.
-    """
-    input_scale, desired_scale = quantized(cfg.input_scale), quantized(cfg.desired_scale)
-    beta, m = quantized(cfg.beta), cfg.order
-    window, weights = [0.0] * m, [0.0] * m
-    errors, first_flag = [], None
-    with bk.rounding_scope():
-        for i, (x, d) in enumerate(zip(x_values, d_values)):
-            window = [x] + window[:-1]
-            sx = [bk.vmul(tap, input_scale) for tap in window]
-            y = reduce(bk.vadd, map(bk.vmul, sx, weights), 0.0)
-            e = bk.vsub(bk.vmul(d, desired_scale), y)
-            be = bk.vmul(beta, e)
-            weights = [bk.vadd(w, bk.vmul(be, tap)) for w, tap in zip(weights, sx)]
-            errors.append(e)
-            if first_flag is None and bk.flags.any():
-                first_flag = i
-    bk.ops.tally(len(errors), add=2 * m, sub=1, mul=3 * m + 2)
-    return errors, first_flag, window, weights
-
-
 class TestScaledTapReuse:
-    """``run_canceller`` and ``step`` against :func:`rescaling_canceller`."""
+    """``run_canceller`` against the reference, which scales every window tap afresh.
+
+    The kernel scales each tap once per block; every sample must still read
+    the words, flags and meter of a scaling per sample.
+    """
 
     N = 3000
 
@@ -356,34 +349,27 @@ class TestScaledTapReuse:
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     @pytest.mark.parametrize("case", ["record", "saturating", "flushing"])
     @pytest.mark.parametrize("datapath", [SeriesDatapath, ParallelDatapath])
-    def test_matches_rescaling_reference(self, backend, case, datapath, request):
+    def test_matches_rescaling_reference(self, backend, case, datapath, request, reference_runs):
         cfg, xw, dw = self.inputs(case, backend, request)
-        bk_run, bk_step, bk_ref = (make_backend(backend) for _ in range(3))
-        run_dp, step_dp = datapath(cfg, bk_run), datapath(cfg, bk_step)
+        bk_run = make_backend(backend)
+        run_dp = datapath(cfg, bk_run)
 
         errors, first_flag = lms.run_canceller(run_dp, xw, dw)
-        step_errors, step_first = [], None
-        for i, (x, d) in enumerate(zip(xw, dw)):
-            step_errors.append(step_dp.step(x, d)[0])
-            if step_first is None and bk_step.flags.any():
-                step_first = i
-        want, want_first, window, weights = rescaling_canceller(
-            cfg, bk_ref, bk_ref.to_values(xw).tolist(), bk_ref.to_values(dw).tolist()
+        want, want_first, ar, ref = reference_runs(
+            ("rescaling", backend, case), lambda: reference_canceller(backend, cfg, xw, dw)
         )
 
         # float64 words run to inf/NaN on the saturating input; NaN == NaN here
-        for got in (errors, step_errors):
-            np.testing.assert_array_equal(np.array(got), np.array(bk_ref.to_words(want)))
-        assert first_flag == step_first == want_first
-        assert bk_run.flags == bk_step.flags == bk_ref.flags
-        assert bk_run.ops == bk_step.ops == bk_ref.ops
-        stats = lms.CycleStats(run_dp.schedule.cycles, run_dp.stats.fpu_instances)
-        stats.tally(run_dp.schedule, self.N)
-        assert run_dp.stats == step_dp.stats == stats
-        assert stats.fpu_ops_issued == sum(bk_ref.ops.values())
-        for dp in (run_dp, step_dp):
-            assert dp.state.window == list(map(bk_ref.encode, window))
-            np.testing.assert_array_equal(dp.state.weights, list(map(bk_ref.encode, weights)))
+        np.testing.assert_array_equal(np.array(errors), np.array(want))
+        assert first_flag == want_first
+        assert bk_run.flags == ar.flags
+        assert bk_run.ops == ar.ops
+        stats = tallied_stats(run_dp, self.N)
+        assert run_dp.stats == stats
+        assert stats.fpu_ops_issued == sum(ar.ops.values())
+        window, weights = state_words(run_dp)
+        np.testing.assert_array_equal(window, ref.window)
+        np.testing.assert_array_equal(weights, ref.weights)
         if backend == "soft" and case != "record":
             # every scaling raised its flag, so the flag totals count each tap m times
             kind = "overflow" if case == "saturating" else "underflow"
@@ -518,8 +504,7 @@ class TestBlockKernel:
         assert bk_run.ops == bk_loop.ops
         assert run_dp.stats == loop_dp.stats
         assert run_dp.stats.samples_processed == len(xw)
-        for got, ref in ((run_dp.state.window, loop_dp.state.window),
-                         (run_dp.state.weights, loop_dp.state.weights)):
+        for got, ref in zip(state_words(run_dp), state_words(loop_dp)):
             np.testing.assert_array_equal(bit_patterns(got), bit_patterns(ref))
         # the float64 backend raises no flags and checks no range: no exact path
         assert updates[0] == (exact if backend == "soft" else 0)

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhrmon import fhr, lms
-from fhrmon.fpu import FRAC_MASK, FpuFlags, OperandError, fpu_add, fpu_mul, fpu_sub, join
+from fhrmon.fpu import (
+    FRAC_MASK, MAX_NORMAL_MAG, FpuFlags, OperandError, decode, fpu_add, fpu_mul, fpu_sub, join
+)
 from fhrmon.io import SynthSpec, generate_synthetic
 from fhrmon.numeric import RunningMean, SoftF32Backend
 from fhrmon.pipeline import run_pipeline
@@ -318,6 +320,40 @@ class TestRoundTowardZeroArithmetic:
         assert cancel.view(np.uint32).tolist() == [fpu_add(w, w ^ SIGN) for w in words] == [0] * 4
         assert both_negative.view(np.uint32).tolist() == [fpu_add(SIGN, SIGN)] * 4 == [SIGN] * 4
         assert mixed.view(np.uint32).tolist() == [fpu_add(0, SIGN)] * 4 == [0] * 4
+
+
+class TestRangeEnd:
+    """Results in [max normal, 2^128) truncate to max normal with no flag: the cast's word."""
+
+    # exact results 2^128 - 2^103 and 2^128 - 2^82
+    PAIRS = {
+        "add": (decode(MAX_NORMAL_MAG), 2.0**103),
+        "mul": ((2 - 2.0**-22) * 2.0**63, (1 + 2.0**-23) * 2.0**64),
+    }
+
+    @pytest.mark.parametrize("name", ["add", "mul"])
+    def test_scalar_and_bulk_ops_take_no_oracle_call(self, name, monkeypatch):
+        if os.uname().machine != "x86_64":
+            pytest.skip("round-toward-zero is only tested on x86-64")
+        a, b = self.PAIRS[name]
+        backend = SoftF32Backend()
+        ref_flags = FpuFlags()
+        want = ORACLES[name](*backend.to_words([a, b]), ref_flags)
+        assert want == MAX_NORMAL_MAG and not ref_flags.any()
+        calls, oracle = [], backend._oracle
+
+        def counted(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(backend, "_oracle", counted)
+        with backend.rounding_scope() as available:
+            assert available
+            scalar = getattr(backend, f"v{name}")(a, b)
+        bulk = getattr(backend, f"bulk_{name}")(np.array([a]), np.array([b]))
+        assert backend.to_words([scalar]) == backend.to_words(bulk) == [want]
+        assert not backend.flags.any()
+        assert calls == []
 
 
 _NORMAL_WORDS = st.builds(join, st.integers(0, 1), st.integers(1, 254), st.integers(0, FRAC_MASK))

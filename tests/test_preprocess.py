@@ -1,9 +1,16 @@
-"""Preprocessing-stage tests: filter oracles, baseline batch equivalence."""
+"""Preprocessing-stage tests: filter oracles, baseline batch equivalence.
+
+The stage-by-stage oracle is :mod:`reference`, checked here against scipy's
+``lfilter``, the realized transfer functions and batch moving means; the
+package's stream forms are then held to it word for word.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import reference
+from reference import Arithmetic
 from scipy import signal as sp_signal
 from test_lms import truncating
 
@@ -25,8 +32,10 @@ from fhrmon.preprocess import (
 )
 
 
-def run_filter(filt, backend, samples):
-    return np.array([backend.decode(filt.step(backend.encode(float(x)))) for x in samples])
+def run_filter(filt, samples):
+    """A reference filter over raw samples, returning the output values."""
+    ar = filt.ar
+    return np.array([ar.value(filt.step(ar.sample(float(x)))) for x in samples])
 
 
 def batch_two_stage(x, n1=BASELINE_WINDOW, n2=BASELINE_WINDOW):
@@ -40,80 +49,78 @@ def batch_two_stage(x, n1=BASELINE_WINDOW, n2=BASELINE_WINDOW):
 
 class TestLowpass:
     def test_impulse_first_output_is_gain_constant(self):
-        soft = make_backend("soft")
-        lp = make_lowpass(soft)
-        out = lp.step(soft.encode(1.0))
-        assert soft.decode(out) == np.float32(0.00308)
+        soft = Arithmetic("soft")
+        lp = reference.lowpass(soft)
+        out = lp.step(soft.sample(1.0))
+        assert soft.value(out) == np.float32(0.00308)
 
     def test_zero_input_zero_output(self):
-        soft = make_backend("soft")
-        lp = make_lowpass(soft)
+        soft = Arithmetic("soft")
+        lp = reference.lowpass(soft)
         for _ in range(100):
-            assert soft.decode(lp.step(soft.encode(0.0))) == 0.0
+            assert soft.value(lp.step(soft.sample(0.0))) == 0.0
 
     def test_constant_input_converges_to_dc_gain(self):
         # steady state must match the transfer function at z = 1
         for name in ("soft", "float64"):
-            bk = make_backend(name)
-            lp = make_lowpass(bk)
-            one = bk.encode(1.0)
+            ar = Arithmetic(name)
+            lp = reference.lowpass(ar)
+            one = ar.sample(1.0)
             for _ in range(4000):
                 y = lp.step(one)
-            dc = abs(lp.frequency_response(0.0, 1000.0))
-            assert abs(bk.decode(y) - dc) / dc < 1e-3
+            dc = abs(make_lowpass(make_backend(name)).frequency_response(0.0, 1000.0))
+            assert abs(ar.value(y) - dc) / dc < 1e-3
 
     def test_impulse_response_matches_lfilter(self):
         # independent IIR oracle on the same quantized constants
-        bk = make_backend("float64")
-        lp = make_lowpass(bk)
+        lp = reference.lowpass(Arithmetic("float64"))
         n = 400
         impulse = np.zeros(n)
         impulse[0] = 1.0
-        got = run_filter(lp, bk, impulse)
+        got = run_filter(lp, impulse)
         b = [quantized(c) for c in LOWPASS_INPUT_COEFFS]
         a = [1.0] + [-quantized(c) for c in LOWPASS_OUTPUT_COEFFS]
         want = sp_signal.lfilter(b, a, impulse)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
     def test_reset_clears_state(self):
+        # the delay lines are the filter's whole state: zeroed, it starts afresh
         bk = make_backend("float64")
         lp = make_lowpass(bk)
-        run_filter(lp, bk, np.random.default_rng(0).normal(size=50))
-        lp.reset()
-        assert lp.step(1.0) == quantized(0.00308)
+        lp.run(np.random.default_rng(0).normal(size=50))
+        lp.input_history, lp.output_history = [], [0.0] * 4
+        assert lp.run(np.ones(1))[0] == quantized(0.00308)
 
 
 class TestNotch:
     def test_impulse_first_output(self):
-        soft = make_backend("soft")
-        nt = make_notch(soft)
-        out = nt.step(soft.encode(1.0))
-        assert soft.decode(out) == np.float32(0.99405)
+        soft = Arithmetic("soft")
+        nt = reference.notch(soft)
+        out = nt.step(soft.sample(1.0))
+        assert soft.value(out) == np.float32(0.99405)
 
     def test_zero_input(self):
-        soft = make_backend("soft")
-        nt = make_notch(soft)
+        soft = Arithmetic("soft")
+        nt = reference.notch(soft)
         for _ in range(50):
-            assert soft.decode(nt.step(soft.encode(0.0))) == 0.0
+            assert soft.value(nt.step(soft.sample(0.0))) == 0.0
 
     def test_50hz_steady_state_matches_frequency_response(self):
         fs = 1000.0
-        soft = make_backend("soft")
-        nt = make_notch(soft)
+        nt = reference.notch(Arithmetic("soft"))
         t = np.arange(int(3.0 * fs)) / fs
         x = np.sin(2 * np.pi * 50.0 * t)
-        y = run_filter(nt, soft, x)
+        y = run_filter(nt, x)
         seg = y[2000:]
         measured = np.sqrt(2.0 * np.mean(seg**2))
-        want = abs(nt.frequency_response(50.0, fs))
+        want = abs(make_notch(make_backend("soft")).frequency_response(50.0, fs))
         assert abs(measured - want) / want < 0.02
 
     def test_response_matches_lfilter(self):
-        bk = make_backend("float64")
-        nt = make_notch(bk)
+        nt = reference.notch(Arithmetic("float64"))
         rng = np.random.default_rng(5)
         x = rng.normal(size=300)
-        got = run_filter(nt, bk, x)
+        got = run_filter(nt, x)
         b = [quantized(c) for c in NOTCH_INPUT_COEFFS]
         a = [1.0] + [-quantized(c) for c in NOTCH_OUTPUT_COEFFS]
         want = sp_signal.lfilter(b, a, x)
@@ -130,35 +137,35 @@ class TestNotch:
 
 class TestIirLinearity:
     def test_linear_combination(self):
-        bk = make_backend("float64")
+        ar = Arithmetic("float64")
         rng = np.random.default_rng(9)
         x1 = rng.normal(size=200)
         x2 = rng.normal(size=200)
         a_, b_ = 0.7, -1.3
-        for factory in (make_lowpass, make_notch):
-            y1 = run_filter(factory(bk), bk, x1)
-            y2 = run_filter(factory(bk), bk, x2)
-            y12 = run_filter(factory(bk), bk, a_ * x1 + b_ * x2)
+        for factory in (reference.lowpass, reference.notch):
+            y1 = run_filter(factory(ar), x1)
+            y2 = run_filter(factory(ar), x2)
+            y12 = run_filter(factory(ar), a_ * x1 + b_ * x2)
             np.testing.assert_allclose(y12, a_ * y1 + b_ * y2, rtol=1e-8, atol=1e-10)
 
 
 class TestBaseline:
     def test_constant_input_passthrough(self):
-        soft = make_backend("soft")
-        mb = MovingAverageBaseline(soft)
-        c = soft.encode(0.75)
+        soft = Arithmetic("soft")
+        mb = reference.Baseline(soft)
+        c = soft.sample(0.75)
         for _ in range(2 * BASELINE_WINDOW + 50):
             base, corr = mb.step(c)
-        assert abs(soft.decode(base) - 0.75) < 1e-3
-        assert abs(soft.decode(corr)) < 1e-3
+        assert abs(soft.value(base) - 0.75) < 1e-3
+        assert abs(soft.value(corr)) < 1e-3
 
     def test_zero_input_forever_zero(self):
-        soft = make_backend("soft")
-        mb = MovingAverageBaseline(soft)
+        soft = Arithmetic("soft")
+        mb = reference.Baseline(soft)
         for _ in range(500):
-            base, corr = mb.step(soft.encode(0.0))
-            assert soft.decode(base) == 0.0
-            assert soft.decode(corr) == 0.0
+            base, corr = mb.step(soft.sample(0.0))
+            assert soft.value(base) == 0.0
+            assert soft.value(corr) == 0.0
 
     def test_streaming_equals_batch_reference_mode(self):
         # slow-drift fixture: 0.3 Hz sinusoid plus a sparse impulse train
@@ -166,9 +173,9 @@ class TestBaseline:
         t = np.arange(n) / 1000.0
         x = np.sin(2 * np.pi * 0.3 * t)
         x[::997] += 1.0
-        bk = make_backend("float64")
-        mb = MovingAverageBaseline(bk)
-        m2s = np.array([bk.decode(mb.step(bk.encode(float(v)))[0]) for v in x])
+        ar = Arithmetic("float64")
+        mb = reference.Baseline(ar)
+        m2s = np.array([ar.value(mb.step(ar.sample(float(v)))[0]) for v in x])
         _, m2b = batch_two_stage(x)
         sl = slice(2 * BASELINE_WINDOW, None)
         rel = np.sqrt(np.mean((m2s[sl] - m2b[sl]) ** 2)) / np.sqrt(np.mean(m2b[sl] ** 2))
@@ -181,17 +188,16 @@ class TestBaseline:
         t = np.arange(n) / 1000.0
         x = np.sin(2 * np.pi * 0.3 * t)
         x[::997] += 1.0
-        bk = make_backend("soft")
-        mb = MovingAverageBaseline(bk)
-        m2s = np.array([bk.decode(mb.step(bk.encode(float(v)))[0]) for v in x])
+        ar = Arithmetic("soft")
+        mb = reference.Baseline(ar)
+        m2s = np.array([ar.value(mb.step(ar.sample(float(v)))[0]) for v in x])
         _, m2b = batch_two_stage(x)
         sl = slice(2 * BASELINE_WINDOW, None)
         rel = np.sqrt(np.mean((m2s[sl] - m2b[sl]) ** 2)) / np.sqrt(np.mean(m2b[sl] ** 2))
         assert rel < 5e-4
 
     def test_corrected_is_sample_minus_baseline(self):
-        bk = make_backend("float64")
-        mb = MovingAverageBaseline(bk)
+        mb = reference.Baseline(Arithmetic("float64"))
         rng = np.random.default_rng(3)
         for v in rng.normal(size=300):
             base, corr = mb.step(float(v))
@@ -199,23 +205,22 @@ class TestBaseline:
 
     def test_ring_occupancy_fixed(self):
         bk = make_backend("float64")
-        mb = MovingAverageBaseline(bk, n1=10, n2=5)
-        for v in range(50):
-            mb.step(float(v))
-        assert len(mb.mean1.ring) == 10 and len(mb.mean2.ring) == 5
+        mb = MovingAverageBaseline(bk)
+        mb.run(np.arange(2.5 * BASELINE_WINDOW))
+        assert len(mb.mean1.ring) == len(mb.mean2.ring) == BASELINE_WINDOW
 
     def test_rejects_bad_windows(self):
         with pytest.raises(ValueError):
-            MovingAverageBaseline(make_backend("float64"), n1=0)
+            RunningMean(make_backend("float64"), 0)
 
 
 class TestChain:
     def test_cascade_order_lowpass_notch_baseline(self):
-        bk = make_backend("float64")
-        chain = PreprocessChain(bk)
-        lp = make_lowpass(bk)
-        nt = make_notch(bk)
-        mb = MovingAverageBaseline(bk)
+        chain = PreprocessChain(make_backend("float64"))
+        ar = Arithmetic("float64")
+        lp = reference.lowpass(ar)
+        nt = reference.notch(ar)
+        mb = reference.Baseline(ar)
         rng = np.random.default_rng(21)
         x = rng.normal(size=300)
         got = chain.process(x)
@@ -241,8 +246,8 @@ class TestChain:
         ref = make_backend("float64")
         lp_s = make_lowpass(soft)
         lp_r = make_lowpass(ref)
-        assert [soft.decode(c) for c in lp_s.input_coeffs] == list(lp_r.input_coeffs)
-        assert [soft.decode(c) for c in lp_s.output_coeffs] == list(lp_r.output_coeffs)
+        assert lp_s.input_coeffs == lp_r.input_coeffs
+        assert lp_s.output_coeffs == lp_r.output_coeffs
 
 
 class TestIirFilterGeneric:
@@ -258,25 +263,26 @@ class TestIirFilterGeneric:
         # recursive feedback, stays a few parts in 10^5 over short runs
         rng = np.random.default_rng(33)
         x = rng.normal(size=500) * 0.5
-        soft = make_backend("soft")
-        ref = make_backend("float64")
-        ys = run_filter(make_lowpass(soft), soft, x)
-        yr = run_filter(make_lowpass(ref), ref, x)
+        ys = run_filter(reference.lowpass(Arithmetic("soft")), x)
+        yr = run_filter(reference.lowpass(Arithmetic("float64")), x)
         rel = np.sqrt(np.mean((ys - yr) ** 2)) / np.sqrt(np.mean(yr**2))
         assert rel < 2e-4
 
 
-def _chain_state(chain):
-    """Every delay line, ring and running total of a chain, as backend words."""
+def _chain_state(chain, words=list):
+    """Every delay line, ring and running total of a chain, as words.
+
+    ``words`` converts the filters' delay lines: the package's hold values.
+    """
     means = (chain.baseline.mean1, chain.baseline.mean2)
     return (
-        [(f.input_history, f.output_history) for f in (chain.lowpass, chain.notch)],
+        [(words(f.input_history), words(f.output_history)) for f in (chain.lowpass, chain.notch)],
         [(list(m.ring), m.mean) for m in means],
     )
 
 
 class TestStageMajorProcess:
-    """``PreprocessChain.process`` against a loop of ``PreprocessChain.step``."""
+    """``PreprocessChain.process`` against the reference chain."""
 
     @staticmethod
     def signal(kind):
@@ -294,17 +300,15 @@ class TestStageMajorProcess:
     @pytest.mark.parametrize("kind", ["ecg", "saturating"])
     def test_words_flags_meter_and_state_match_step_loop(self, backend, kind):
         x = self.signal(kind)
-        bk_run, bk_step = make_backend(backend), make_backend(backend)
-        run_chain, step_chain = PreprocessChain(bk_run), PreprocessChain(bk_step)
+        bk_run, ar = make_backend(backend), Arithmetic(backend)
+        run_chain, ref_chain = PreprocessChain(bk_run), reference.Chain(ar)
         # Two calls: the second resumes from the state the first left.
         got = run_chain.process(x[:1234]) + run_chain.process(x[1234:])
-        samples = [bk_step.encode(float(v)) for v in x]  # rounded to nearest, outside the scope
-        with bk_step.rounding_scope():
-            want = [step_chain.step(w) for w in samples]
+        want = [ref_chain.step(ar.sample(float(v))) for v in x]
         assert got == want
-        assert bk_run.flags == bk_step.flags
-        assert bk_run.ops == bk_step.ops
-        assert _chain_state(run_chain) == _chain_state(step_chain)
+        assert bk_run.flags == ar.flags
+        assert bk_run.ops == ar.ops
+        assert _chain_state(run_chain, bk_run.to_words) == _chain_state(ref_chain)
         if backend == "soft" and kind == "saturating":
             assert bk_run.flags.overflow and bk_run.flags.underflow
 
@@ -324,6 +328,11 @@ RECURSIONS = {
     "notch": make_notch,
     "mean": lambda bk: RunningMean(bk, BASELINE_WINDOW),
 }
+REFERENCES = {
+    "lowpass": reference.lowpass,
+    "notch": reference.notch,
+    "mean": lambda ar: reference.Mean(ar, BASELINE_WINDOW),
+}
 
 # From zero state, each of these makes the stage's recursion flush a sum
 # within a few samples; its feed-forward ops stay in range.
@@ -339,27 +348,35 @@ UNAVAILABLE_SCOPE = pytest.mark.parametrize(
 )
 
 
-def _stage_state(stage):
-    if isinstance(stage, RunningMean):
-        return list(stage.ring), stage.mean
-    return stage.input_history, stage.output_history
+def _stage_state(stage, words=list):
+    """A filter's delay lines, or a running mean's ring and total, as words.
 
-
-def _step_loop(stage, values):
-    """Words of ``stage.step`` over ``values``, and the samples whose step raised a flag.
-
-    The loop runs in the rounding scope; ``values`` are float32 values, which
-    ``encode`` converts exactly there too.
+    ``words`` converts the delay lines: the package's filters hold values.
     """
-    bk = stage.backend
+    if isinstance(stage, (RunningMean, reference.Mean)):
+        return list(stage.ring), stage.mean
+    return words(stage.input_history), words(stage.output_history)
+
+
+def _reference_loop(stage, values):
+    """Words of the reference ``stage`` over float32 ``values``, and the samples
+    whose step raised a flag."""
+    ar = stage.ar
     words, flagged = [], []
-    with bk.rounding_scope():
-        for k, v in enumerate(values.tolist()):
-            before = bk.flags.overflow + bk.flags.underflow
-            words.append(stage.step(bk.encode(v)))
-            if bk.flags.overflow + bk.flags.underflow > before:
-                flagged.append(k)
+    for k, v in enumerate(values.tolist()):
+        before = ar.flag_total()
+        words.append(stage.step(ar.sample(v)))
+        if ar.flag_total() > before:
+            flagged.append(k)
     return words, flagged
+
+
+def _reference_run(make, values, kind):
+    """``(words, flagged, arithmetic, state)`` of ``make(Arithmetic(kind))`` over ``values``."""
+    ar = Arithmetic(kind)
+    stage = make(ar)
+    words, flagged = _reference_loop(stage, values)
+    return words, flagged, ar, _stage_state(stage)
 
 
 def _trace_paths(stage, monkeypatch) -> list:
@@ -381,11 +398,11 @@ def _soft_paths(n_blocks: int, rejected) -> list:
 
 
 class TestCastRecursion:
-    """``IirFilter.run`` and ``RunningMean.run`` against a loop of their ``step``.
+    """``IirFilter.run`` and ``RunningMean.run`` against their reference stages.
 
     On the soft backend each block's recursion runs as float32 casts under
     round-toward-zero; a block with any op out of range reruns on the value
-    ops.  Words, flags, meter readings and state must equal ``step``'s.
+    ops.  Words, flags, meter readings and state must equal the reference's.
     """
 
     B = STREAM_BLOCK
@@ -399,11 +416,11 @@ class TestCastRecursion:
     @staticmethod
     def first_flag(name) -> int:
         """The sample at which ``SPIKES[name]`` from sample 0 first raises a flag."""
-        bk = make_backend("soft")
+        ar = Arithmetic("soft")
         x = np.zeros(100)
         x[: len(SPIKES[name])] = SPIKES[name]
-        flagged = _step_loop(RECURSIONS[name](bk), bk.ingest(x))[1]
-        assert flagged and not bk.flags.overflow
+        flagged = _reference_loop(REFERENCES[name](ar), make_backend("soft").ingest(x))[1]
+        assert flagged and not ar.flags.overflow
         return flagged[0]
 
     def signal(self, name, case) -> np.ndarray:
@@ -426,33 +443,37 @@ class TestCastRecursion:
             x = ecg
         return make_backend("soft").ingest(x[: self.N])
 
-    def run_and_step(self, make, x, backend, monkeypatch):
-        """``make(backend).run`` in two calls against a ``step`` loop; they must agree.
+    def run_and_step(self, make, x, backend, monkeypatch, want):
+        """``make(backend).run`` in two calls against ``want``, a :func:`_reference_run`
+        on ``x``; they must agree.
 
         Returns each block's loops (see ``_trace_paths``), the samples whose
-        step raised a flag, and the blocks of ``run`` those samples fall in.
+        reference step raised a flag, and the blocks of ``run`` those samples
+        fall in.
         """
-        bk_run, bk_step = make_backend(backend), make_backend(backend)
-        run, step = make(bk_run), make(bk_step)
+        bk_run = make_backend(backend)
+        run = make(bk_run)
         paths = _trace_paths(run, monkeypatch)
         split = self.SPLIT
         got = bk_run.to_words(np.concatenate([run.run(x[:split]), run.run(x[split:])]))
-        want, flagged = _step_loop(step, x)
+        want, flagged, ar, state = want
 
         assert got == want
-        assert bk_run.flags == bk_step.flags
-        assert bk_run.ops == bk_step.ops
-        assert _stage_state(run) == _stage_state(step)
+        assert bk_run.flags == ar.flags
+        assert bk_run.ops == ar.ops
+        assert _stage_state(run, bk_run.to_words) == state
         blocks = {0 if k < split else 1 + (k - split) // self.B for k in flagged}
         return paths, flagged, blocks
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     @pytest.mark.parametrize("case", ["ecg", "saturating", "flushing", "flag_first", "flag_last"])
     @pytest.mark.parametrize("name", list(RECURSIONS))
-    def test_run_matches_step_loop(self, name, case, backend, monkeypatch):
-        paths, flagged, blocks = self.run_and_step(
-            RECURSIONS[name], self.signal(name, case), backend, monkeypatch
+    def test_run_matches_step_loop(self, name, case, backend, monkeypatch, reference_runs):
+        x = self.signal(name, case)
+        want = reference_runs(
+            (name, case, backend), lambda: _reference_run(REFERENCES[name], x, backend)
         )
+        paths, flagged, blocks = self.run_and_step(RECURSIONS[name], x, backend, monkeypatch, want)
         if backend == "float64":
             assert paths == ["value"] * 3
         elif case in ("saturating", "flushing"):
@@ -474,7 +495,7 @@ class TestCastRecursion:
             # output p is in [2^-126, 2^-125): its product with the last feedback
             # coefficient (-0.4814), four samples on, flushes while the sums
             # carry the ECG that follows
-            make = make_lowpass
+            make, make_reference = make_lowpass, reference.lowpass
             x[p] = 1.5 * 2.0**-126 / quantized(LOWPASS_INPUT_COEFFS[0])
             x[p + 1 :] = self.ecg()[: self.N - p - 1]
             want_flagged = [p + 4]
@@ -485,27 +506,34 @@ class TestCastRecursion:
             def make(bk):
                 return RunningMean(bk, 256)
 
+            def make_reference(ar):
+                return reference.Mean(ar, 256)
+
             x[[p, p + 1, p + 256, p + 257]] = 2.0**-102, 2.0**-107, -(2.0**-107 - 2.0**-120), 2.0**-92
             want_flagged = [p + 256]
         x = make_backend("soft").ingest(x)
-        paths, flagged, blocks = self.run_and_step(make, x, "soft", monkeypatch)
+        want = _reference_run(make_reference, x, "soft")
+        paths, flagged, blocks = self.run_and_step(make, x, "soft", monkeypatch, want)
         assert flagged == want_flagged
         assert paths == _soft_paths(3, blocks) and "value" in paths
 
     @UNAVAILABLE_SCOPE
     @pytest.mark.parametrize("case", ["ecg", "flushing"])
     @pytest.mark.parametrize("name", list(RECURSIONS))
-    def test_without_scope_every_block_runs_the_value_loop(self, name, case, patch, monkeypatch):
+    def test_without_scope_every_block_runs_the_value_loop(
+        self, name, case, patch, monkeypatch, reference_runs
+    ):
         x = self.signal(name, case)
-        bk_step = make_backend("soft")
-        want = _step_loop(RECURSIONS[name](bk_step), x)[0]
+        want, _, ar, _ = reference_runs(
+            (name, case, "soft"), lambda: _reference_run(REFERENCES[name], x, "soft")
+        )
         monkeypatch.setattr(numeric, "_rounding", None)
         monkeypatch.setattr(numeric, *patch)
         bk_run = make_backend("soft")
         run = RECURSIONS[name](bk_run)
         paths = _trace_paths(run, monkeypatch)
         assert bk_run.to_words(run.run(x)) == want
-        assert bk_run.flags == bk_step.flags and bk_run.ops == bk_step.ops
+        assert bk_run.flags == ar.flags and bk_run.ops == ar.ops
         assert paths == ["value"] * -(-self.N // self.B)
         assert numeric._rounding is False
 
