@@ -19,9 +19,10 @@ annotations uses greedy one-to-one matching inside a +/-50 ms window.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
-from .numeric import RunningMean, quantized
+from .numeric import quantized
 
 ENHANCE_WINDOW = 40  # mean-filter length P over squared differences
 MIN_PEAK_GAP_S = 0.2  # accepted peaks must be further apart than this
@@ -115,11 +116,15 @@ class PeakEnhancer:
     """
 
     def __init__(self, backend, n_total: int, window: int = ENHANCE_WINDOW):
-        if n_total < 1:
-            raise ValueError("stream length must be positive")
+        if n_total < 1 or window < 1:
+            raise ValueError("stream length and window must be positive")
         self.backend = backend
-        self._mean = RunningMean(backend, window)
+        self._inv_p = backend.encode(quantized(1.0 / window))
         self._inv_n = backend.encode(quantized(1.0 / n_total))
+        # The mean filter: squared differences scaled by 1/P in a zero-filled
+        # ring, and their running total, sdm.
+        self._ring = deque([backend.zero] * window, maxlen=window)
+        self._sdm = backend.zero
         self._prev = backend.zero
         self.m1 = backend.zero
 
@@ -128,7 +133,9 @@ class PeakEnhancer:
         bk = self.backend
         diff = bk.sub(sample, self._prev)
         self._prev = sample
-        sdm = self._mean.step(bk.mul(diff, diff))
+        scaled = bk.mul(bk.mul(diff, diff), self._inv_p)
+        self._sdm = sdm = bk.sub(bk.add(self._sdm, scaled), self._ring[0])
+        self._ring.append(scaled)  # full ring: drops ring[0]
         self.m1 = bk.add(self.m1, bk.mul(sdm, self._inv_n))
         return sdm
 

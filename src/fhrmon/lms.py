@@ -12,13 +12,13 @@ The modelled datapath issues 5m + 3 ops per sample (2m adds, one subtract,
 3m + 2 multiplies), scaling every tap of the window afresh.
 :meth:`LmsState.update` is that step on values, op for op, and the exact
 path the block kernel falls back to.
-:func:`run_canceller` runs whole channels, converting them between words and
-values once, through a block kernel: each sample's taps as numpy vectors (the
-software form of the parallel datapath), on the soft backend in float32
-under round-toward-zero, which is the fpu's truncation while every result
-stays in the normal range.  A block whose results leave that range, the
-scalings of the taps it inherits included, is rerun by
-:meth:`LmsState.update`, so flags and words still come from the exact path.
+:func:`run_canceller` runs whole channels of values through a block kernel:
+each sample's taps as numpy vectors (the software form of the parallel
+datapath), on the soft backend in float32 under round-toward-zero, which is
+the fpu's truncation while every result stays in the normal range.  A block
+whose results leave that range, the scalings of the taps it inherits
+included, is rerun by :meth:`LmsState.update`, so flags and words still come
+from the exact path.
 The two datapath models run the same step and differ only in the
 :class:`Schedule` their :class:`CycleStats` are accounted from:
 
@@ -147,8 +147,8 @@ class LmsState:
         self.weight_values = [0.0] * m
         self.ops_per_step = {"add": 2 * m, "sub": 1, "mul": 3 * m + 2}
 
-    def update(self, x: float, d: float) -> tuple[float, float]:
-        """One-sample update on values; returns ``(e, y)``.
+    def update(self, x: float, d: float) -> float:
+        """One-sample update on values; returns the error ``e``.
 
         Scales every tap of the window afresh, as the datapath does, so each
         scaling raises its flags on every sample its tap is in the window.
@@ -164,7 +164,7 @@ class LmsState:
             e = bk.vsub(mul(d, self.desired_scale), y)
             be = mul(self.beta, e)
             self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
-        return e, y
+        return e
 
 
 class _Datapath:
@@ -207,44 +207,29 @@ def choose_scale_factor(samples: np.ndarray, target: float = 16.0) -> float:
     point.  ``target`` trades adaptation speed against headroom: the default
     puts QRS deflections around +/-10, fast enough for the fixed step size to
     settle within the convergence budget while staying far from saturation.
+    The exponent stops at 127, the largest power of two float32 holds.
     """
     mags = np.abs(np.asarray(samples, dtype=float))
     p99 = float(np.percentile(mags, 99.0)) if len(mags) else 0.0
     if p99 <= 0.0:
         return 1.0
-    return 2.0 ** round(math.log2(target / p99))
+    return 2.0 ** min(round(math.log2(target / p99)), 127)
 
 
-def run_canceller(datapath, x_samples, d_samples):
-    """Drive a datapath over full channels; returns (e_words, first_flag_index).
+def run_canceller(datapath, x_values, d_values):
+    """Drive a datapath over full channels; returns (errors, first_flag_index).
 
-    ``x_samples``/``d_samples`` are backend-encoded sequences, converted to
-    values once; the errors are converted back to words once.
-    ``first_flag_index`` is the first sample whose step raised a
-    saturation/flush flag, or None.  The backend's flag totals at entry are
-    the reference, so flags raised by earlier stages sharing the backend are
-    not blamed on the canceller.
+    The channels and the errors are numpy arrays of values.  Each ``BLOCK``
+    samples run through :class:`_BlockKernel`; a block it rejects runs
+    through :meth:`LmsState.update` from the same state instead, so every
+    flag is raised on the exact path.  ``first_flag_index`` is the first
+    sample whose step raised a saturation/flush flag, or None.  The backend's
+    flag totals at entry are the reference, so flags raised by earlier stages
+    sharing the backend are not blamed on the canceller.
     """
     state = datapath.state
     bk = state.backend
-    # The value streams and the kernel's buffers are freed before the words
-    # are built, so the two never add up in peak memory.
-    errors, first_flag = _run_blocks(state, bk.to_values(x_samples), bk.to_values(d_samples))
-    words = bk.to_words(errors)
-    bk.ops.tally(len(errors), **state.ops_per_step)
-    datapath.stats.tally(datapath.schedule, len(errors))
-    return words, first_flag
-
-
-def _run_blocks(state: LmsState, x_values: np.ndarray, d_values: np.ndarray):
-    """Error values and the first flagged sample, ``BLOCK`` samples at a time.
-
-    Each block runs through :class:`_BlockKernel`.  A block it rejects runs
-    through :meth:`LmsState.update` from the same state instead, so every
-    flag is raised on the exact path.
-    """
-    flags = state.backend.flags
-    entry_total = flags.overflow + flags.underflow
+    entry_total = bk.flags.overflow + bk.flags.underflow
     first_flag = None
     n = min(len(x_values), len(d_values))
     errors = np.empty(n)
@@ -256,9 +241,11 @@ def _run_blocks(state: LmsState, x_values: np.ndarray, d_values: np.ndarray):
             if kernel.run(x, d, out):
                 continue
             for i, xi, di in zip(range(len(out)), x.tolist(), d.tolist()):
-                out[i] = state.update(xi, di)[0]
-                if first_flag is None and flags.overflow + flags.underflow > entry_total:
+                out[i] = state.update(xi, di)
+                if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
                     first_flag = start + i
+    bk.ops.tally(n, **state.ops_per_step)
+    datapath.stats.tally(datapath.schedule, n)
     return errors, first_flag
 
 

@@ -15,8 +15,9 @@ Each backend offers three forms of add/sub/mul:
   path a float32 is carried as the exact double that holds it.
 * bulk ops ``bulk_add``/``bulk_sub``/``bulk_mul`` on numpy arrays of values.
 
-Whole streams cross between words and values with ``to_values``/``to_words``
-and enter from raw samples through ``ingest``.
+Raw samples enter as values through ``ingest``, and the stages hand each
+other numpy arrays of values.  ``to_values``/``to_words`` convert whole
+streams where words remain: detection, the traces and the digests.
 
 Bulk ops and block kernels run whole vectors in the backend's ``block_dtype``
 inside its ``rounding_scope()``.  On the soft path the scope sets the C
@@ -63,7 +64,6 @@ from __future__ import annotations
 import operator
 import os
 from array import array
-from collections import deque
 from contextlib import nullcontext
 
 import numpy as np
@@ -470,7 +470,7 @@ def quantized(value: float) -> float:
 
 
 class RunningMean:
-    """Mean of the last ``window`` samples, updated one sample per step.
+    """Mean of the last ``window`` values, over a stream of values.
 
     Each sample is pre-scaled by 1/window and kept in a zero-filled ring; the
     mean is a running total that adds the new scaled sample and subtracts the
@@ -481,29 +481,19 @@ class RunningMean:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.backend = backend
-        self._inv = backend.encode(quantized(1.0 / window))
-        self.ring = deque([backend.zero] * window, maxlen=window)
-        self.mean = backend.zero
-
-    def step(self, sample):
-        """Consume one sample and return the updated mean."""
-        bk = self.backend
-        scaled = bk.mul(sample, self._inv)
-        self.mean = bk.sub(bk.add(self.mean, scaled), self.ring[0])
-        self.ring.append(scaled)  # full ring: drops ring[0]
-        return self.mean
+        self._inv = quantized(1.0 / window)
+        self.ring = np.zeros(window)
+        self.mean = 0.0
 
     def run(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`step` over a whole stream of values, returning the means."""
+        """The mean after each sample of a whole stream of values."""
         bk = self.backend
-        window = self.ring.maxlen
-        scaled = bk.bulk_mul(values, bk.decode(self._inv))
+        scaled = bk.bulk_mul(values, self._inv)
         # Sample k evicts element k of the ring followed by the scaled stream.
-        queue = np.concatenate([bk.to_values(list(self.ring)), scaled])
-        means, mean = bk.recur(self, (scaled, queue[: len(scaled)]), bk.decode(self.mean))
+        queue = np.concatenate([self.ring, scaled])
+        means, self.mean = bk.recur(self, (scaled, queue[: len(scaled)]), self.mean)
         bk.ops.tally(len(scaled), add=1, sub=1)
-        self.ring.extend(bk.to_words(queue[-window:]))
-        self.mean = bk.encode(mean)
+        self.ring = queue[-len(self.ring) :].copy()
         return means
 
     # -- one block of the recursion, in the forms _Backend.recur runs ---------

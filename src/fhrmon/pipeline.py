@@ -23,6 +23,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import fhr, fpu, lms
 from .io import (
     Recording, SynthSpec, generate_synthetic, is_number, load_annotations, load_recording
@@ -34,8 +36,8 @@ DEFAULT_CLOCK_HZ = 50_000_000
 # Guard band after the convergence marker before scoring starts: enhancement
 # ring fill plus the annotation matching window.
 SCORING_GUARD_SAMPLES = 128
-# Trace words decoded per call: a whole stream held as Python floats at once
-# raises the process's peak memory.
+# Trace values turned into Python floats per call: a whole stream held as
+# Python floats at once raises the process's peak memory.
 TRACE_BLOCK = 256
 
 # Published end-to-end convergence times quoted for context next to the raw
@@ -182,8 +184,8 @@ class FrontEnd(NamedTuple):
     datapaths.
     """
 
-    thoracic_pp: list
-    abdominal_pp: list
+    thoracic_pp: np.ndarray  # float32 values
+    abdominal_pp: np.ndarray
     scale_x: float
     scale_d: float
 
@@ -197,7 +199,7 @@ class RunArtifacts:
     arch: str
     front_end: FrontEnd
     convergence_index: int
-    errors: list
+    errors: list  # the canceller's error words
     stats: lms.CycleStats
     detection: dict
     warnings: list[str]
@@ -227,8 +229,8 @@ def preprocess_front_end(cfg: RunConfig, rec: Recording, backend) -> FrontEnd:
     abdominal_pp = chain_a.process(rec.channel(cfg.abdominal))
     warmup = chain_t.warmup_samples
 
-    scale_x = lms.choose_scale_factor(backend.to_values(thoracic_pp[warmup:]))
-    scale_d = lms.choose_scale_factor(backend.to_values(abdominal_pp[warmup:]))
+    scale_x = lms.choose_scale_factor(thoracic_pp[warmup:])
+    scale_d = lms.choose_scale_factor(abdominal_pp[warmup:])
     return FrontEnd(thoracic_pp, abdominal_pp, scale_x, scale_d)
 
 
@@ -261,9 +263,8 @@ def execute(
         desired_scale=front_end.scale_d,
     )
     datapath = lms.make_datapath(arch, lms_cfg, backend)
-    errors, first_flag = lms.run_canceller(
-        datapath, front_end.thoracic_pp, front_end.abdominal_pp
-    )
+    errors, first_flag = lms.run_canceller(datapath, front_end.thoracic_pp, front_end.abdominal_pp)
+    errors = backend.to_words(errors)
     warnings = []
     if cfg.annotations_path and rec.annotations is not None and not any(rec.annotations.values()):
         warnings.append(f"{cfg.annotations_path}: annotation file contains no entries")
@@ -305,9 +306,9 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
     out.mkdir(parents=True, exist_ok=True)
     backend = art.backend
 
-    def values(words):
-        for start in range(0, len(words), TRACE_BLOCK):
-            yield from backend.to_values(words[start : start + TRACE_BLOCK]).tolist()
+    def floats(values):
+        for start in range(0, len(values), TRACE_BLOCK):
+            yield from values[start : start + TRACE_BLOCK].tolist()
 
     def write_csv(name: str, header: str, rows) -> None:
         with open(out / name, "w", encoding="utf-8") as fh:
@@ -316,17 +317,16 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
 
     if "preprocess" in cfg.trace:
         fe = art.front_end
-        pairs = zip(values(fe.thoracic_pp), values(fe.abdominal_pp))
+        pairs = zip(floats(fe.thoracic_pp), floats(fe.abdominal_pp))
         write_csv("preprocess.csv", "n,thoracic,abdominal\n",
                   (f"{i},{t!r},{a!r}\n" for i, (t, a) in enumerate(pairs)))
     if "lms" in cfg.trace:
         words = map(fpu.to_hex if backend.name == "soft" else repr, art.errors)
-        rows = zip(words, values(art.errors))
+        rows = zip(words, floats(backend.to_values(art.errors)))
         write_csv("lms.csv", "n,e_word,e\n", (f"{i},{w},{e!r}\n" for i, (w, e) in enumerate(rows)))
     if "fhr" in cfg.trace:
-        start = art.convergence_index
-        write_csv("fhr.csv", "n,sdm\n",
-                  (f"{i},{v!r}\n" for i, v in enumerate(values(art.detection["sdm"]), start)))
+        rows = enumerate(floats(backend.to_values(art.detection["sdm"])), art.convergence_index)
+        write_csv("fhr.csv", "n,sdm\n", (f"{i},{v!r}\n" for i, v in rows))
     peaks = art.detection["peaks_absolute"]
     fs = art.recording.fs
     sdm = peaks.values or [float("nan")] * len(peaks)
@@ -427,7 +427,7 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
     """Run both datapaths on one front end and demand bit-identical output.
 
     The recording is preprocessed once, in the series pass, and the parallel
-    pass reuses those words and scale factors; each datapath then runs its own
+    pass reuses those channels and scale factors; each datapath then runs its own
     canceller, and the parallel pass also reuses the series detection when
     their error words are equal.  A comparison writes no files, so a
     configured ``out_dir`` or ``trace`` is a :class:`ConfigError`.

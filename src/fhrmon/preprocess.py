@@ -26,8 +26,8 @@ backend that loop casts each op's double result to float32 under
 round-toward-zero, and a bulk replay of the block's ops from its outputs
 checks that every one stayed in the normal range; a block that fails, or any
 block where the rounding mode cannot be set, reruns on the value ops (see
-:mod:`fhrmon.numeric`).  The filters hold their coefficients and delay lines
-as float32 values, the running means their rings as backend words.
+:mod:`fhrmon.numeric`).  Every stage holds its constants and state as
+float32 values, and the chain returns values.
 """
 
 from __future__ import annotations
@@ -179,16 +179,15 @@ class PreprocessChain:
         """Leading samples to exclude from downstream statistics."""
         return 2 * BASELINE_WINDOW
 
-    def process(self, samples) -> list:
+    def process(self, samples) -> np.ndarray:
         """Run a whole channel through the chain, stage by stage per block.
 
-        Takes raw samples and returns the corrected samples as backend words.
+        Takes raw samples and returns the corrected samples as values.
         """
-        bk = self.backend
         samples = np.asarray(samples, dtype=np.float64)
-        words = []
+        out = np.empty(len(samples))
         for start in range(0, len(samples), STREAM_BLOCK):
-            values = bk.ingest(samples[start : start + STREAM_BLOCK])
-            values = self.notch.run(self.lowpass.run(values))
-            words += bk.to_words(self.baseline.run(values)[1])
-        return words
+            block = slice(start, start + STREAM_BLOCK)
+            values = self.notch.run(self.lowpass.run(self.backend.ingest(samples[block])))
+            out[block] = self.baseline.run(values)[1]
+        return out

@@ -37,6 +37,13 @@ def reference_canceller(kind: str, cfg: LmsConfig, xw, dw):
     return errors, first_flag, ar, ref
 
 
+def cancel_words(datapath, xw, dw):
+    """``run_canceller`` on channels of words: ``(error words, first_flag)``."""
+    bk = datapath.state.backend
+    errors, first_flag = lms.run_canceller(datapath, bk.to_values(xw), bk.to_values(dw))
+    return bk.to_words(errors), first_flag
+
+
 def state_words(datapath) -> tuple[list, list]:
     """A datapath's tap window and weights, as backend words."""
     st = datapath.state
@@ -94,10 +101,10 @@ class TestCycleAccounting:
     def test_parallel_single_cycle(self):
         bk = make_backend("soft")
         dp = ParallelDatapath(LmsConfig(order=19), bk)
-        lms.run_canceller(dp, [bk.encode(0.5)], [bk.encode(0.25)])
+        lms.run_canceller(dp, bk.ingest([0.5]), bk.ingest([0.25]))
         assert dp.stats.cycles_per_sample == 1
         assert dp.stats.total_cycles == 1
-        lms.run_canceller(dp, [bk.encode(0.5)], [bk.encode(0.25)])
+        lms.run_canceller(dp, bk.ingest([0.5]), bk.ingest([0.25]))
         assert dp.stats.total_cycles == 2
 
     def test_total_cycles_law(self):
@@ -105,8 +112,8 @@ class TestCycleAccounting:
         s = SeriesDatapath(LmsConfig(order=19), bk)
         p = ParallelDatapath(LmsConfig(order=19), make_backend("soft"))
         for _ in range(7):
-            lms.run_canceller(s, [bk.encode(0.1)], [bk.encode(0.2)])
-            lms.run_canceller(p, [bk.encode(0.1)], [bk.encode(0.2)])
+            lms.run_canceller(s, bk.ingest([0.1]), bk.ingest([0.2]))
+            lms.run_canceller(p, bk.ingest([0.1]), bk.ingest([0.2]))
         assert s.stats.total_cycles == 39 * 7
         assert p.stats.total_cycles == 7
         assert s.stats.total_cycles == p.stats.total_cycles * 39
@@ -116,8 +123,8 @@ class TestCycleAccounting:
         bk = make_backend("soft")
         s = SeriesDatapath(LmsConfig(order=m), bk)
         p = ParallelDatapath(LmsConfig(order=m), make_backend("soft"))
-        lms.run_canceller(s, [bk.encode(0.5)], [bk.encode(0.25)])
-        lms.run_canceller(p, [bk.encode(0.5)], [bk.encode(0.25)])
+        lms.run_canceller(s, bk.ingest([0.5]), bk.ingest([0.25]))
+        lms.run_canceller(p, bk.ingest([0.5]), bk.ingest([0.25]))
         assert s.stats.fpu_ops_issued == 5 * m + 3
         assert p.stats.fpu_ops_issued == 5 * m + 3
         assert s.stats.max_ops_per_cycle <= s.stats.fpu_instances == 9
@@ -152,8 +159,8 @@ class TestArchitectureEquivalence:
         x, d = rng.uniform(-2, 2, 400), rng.uniform(-2, 2, 400)
         xw = [bks[0].encode(float(v)) for v in x]
         dw = [bks[0].encode(float(v)) for v in d]
-        e1, _ = lms.run_canceller(series, xw, dw)
-        e2, _ = lms.run_canceller(parallel, xw, dw)
+        e1, _ = cancel_words(series, xw, dw)
+        e2, _ = cancel_words(parallel, xw, dw)
         e3, _ = reference.cancel(plain, xw, dw)
         assert e1 == e2 == e3
         assert state_words(series) == state_words(parallel) == (plain.window, plain.weights)
@@ -188,6 +195,12 @@ class TestScaling:
     def test_zero_signal_unit_factor(self):
         assert choose_scale_factor(np.zeros(100)) == 1.0
 
+    def test_factor_stays_within_float32(self):
+        # 16 / 2^-125 would be 2^129, past the largest float32
+        f = choose_scale_factor(np.full(100, 2.0**-125))
+        assert f <= 2.0**127
+        LmsState(LmsConfig(input_scale=f, desired_scale=f), make_backend("soft"))
+
 
 class TestConvergence:
     def test_system_identification_converges(self):
@@ -201,7 +214,7 @@ class TestConvergence:
         d = np.convolve(x, true_w)[: len(x)]
         bk = make_backend("soft")
         dp = ParallelDatapath(LmsConfig(order=m), bk)
-        lms.run_canceller(dp, [bk.encode(float(v)) for v in x], [bk.encode(float(v)) for v in d])
+        lms.run_canceller(dp, bk.ingest(x), bk.ingest(d))
         w_hat = np.array(dp.state.weight_values)
         assert np.linalg.norm(w_hat - true_w) < 0.10 * np.linalg.norm(true_w)
 
@@ -214,7 +227,7 @@ class TestConvergence:
         d = rng.uniform(-2.0, 2.0, 30000)
         xw = [bk.encode(float(v)) for v in x]
         dw = [bk.encode(float(v)) for v in d]
-        _, first_flag = lms.run_canceller(dp, xw, dw)
+        _, first_flag = cancel_words(dp, xw, dw)
         assert first_flag is None
         assert not bk.flags.any()
 
@@ -225,7 +238,7 @@ class TestConvergence:
         rng = np.random.default_rng(2)
         xw = [bk.encode(float(v)) for v in rng.uniform(-2, 2, 500)]
         dw = [bk.encode(float(v)) for v in rng.uniform(-2, 2, 500)]
-        _, first_flag = lms.run_canceller(dp, xw, dw)
+        _, first_flag = cancel_words(dp, xw, dw)
         assert first_flag is not None
         assert bk.flags.any()
 
@@ -238,7 +251,7 @@ class TestConvergence:
         dp = ParallelDatapath(LmsConfig(order=19), bk)
         xw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, 2000)]
         dw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, 2000)]
-        _, first_flag = lms.run_canceller(dp, xw, dw)
+        _, first_flag = cancel_words(dp, xw, dw)
         assert first_flag is None
 
         # a canceller that does saturate is still located at the same sample
@@ -246,8 +259,8 @@ class TestConvergence:
         xw = [bk.encode(float(v)) for v in rng.uniform(-2, 2, 500)]
         dw = [bk.encode(float(v)) for v in rng.uniform(-2, 2, 500)]
         clean = make_backend("soft")
-        _, want = lms.run_canceller(ParallelDatapath(LmsConfig(order=4, step_size=10.0), clean), xw, dw)
-        _, got = lms.run_canceller(ParallelDatapath(LmsConfig(order=4, step_size=10.0), bk), xw, dw)
+        _, want = cancel_words(ParallelDatapath(LmsConfig(order=4, step_size=10.0), clean), xw, dw)
+        _, got = cancel_words(ParallelDatapath(LmsConfig(order=4, step_size=10.0), bk), xw, dw)
         assert want is not None and got == want
 
     def test_soft_reference_error_drift_bounded(self):
@@ -260,11 +273,8 @@ class TestConvergence:
         ref = make_backend("float64")
         dps = ParallelDatapath(LmsConfig(order=19), soft)
         dpr = ParallelDatapath(LmsConfig(order=19), ref)
-        es, _ = lms.run_canceller(dps, [soft.encode(float(v)) for v in x],
-                                  [soft.encode(float(v)) for v in d])
-        er, _ = lms.run_canceller(dpr, list(x), list(d))
-        es_d = np.array([soft.decode(w) for w in es])
-        er_d = np.array(er)
+        es_d, _ = lms.run_canceller(dps, soft.ingest(x), soft.ingest(d))
+        er_d, _ = lms.run_canceller(dpr, x, d)
         rel = np.sqrt(np.mean((es_d - er_d) ** 2)) / np.sqrt(np.mean(er_d**2))
         assert rel < 1e-3
 
@@ -292,7 +302,7 @@ class TestCancellerKernel:
         bk_run = make_backend(backend)
         cfg, xw, dw = self.inputs(case, bk_run)
         run_dp = datapath(cfg, bk_run)
-        errors, first_flag = lms.run_canceller(run_dp, xw, dw)
+        errors, first_flag = cancel_words(run_dp, xw, dw)
         want, want_first, ar, ref = reference_runs(
             (backend, case), lambda: reference_canceller(backend, cfg, xw, dw)
         )
@@ -311,8 +321,10 @@ class TestCancellerKernel:
         bk = make_backend("soft")
         xw = [bk.encode(0.5), bk.encode(-0.25), bad]
         dw = [bk.encode(0.125)] * 3
+        # the words' float32 values, unchecked: the canceller meets the bad operand
+        x, d = (np.array(w, np.uint32).view(np.float32).astype(np.float64) for w in (xw, dw))
         with pytest.raises(fpu.OperandError) as raised:
-            lms.run_canceller(ParallelDatapath(LmsConfig(order=2), bk), xw, dw)
+            lms.run_canceller(ParallelDatapath(LmsConfig(order=2), bk), x, d)
         with pytest.raises(fpu.OperandError) as want:
             reference_canceller("soft", LmsConfig(order=2), xw, dw)
         assert str(raised.value) == str(want.value)
@@ -334,7 +346,7 @@ class TestScaledTapReuse:
             fixture = "soft_artifacts" if backend == "soft" else "ref_artifacts"
             fe = request.getfixturevalue(fixture).front_end
             cfg = LmsConfig(input_scale=fe.scale_x, desired_scale=fe.scale_d)
-            return cfg, fe.thoracic_pp[: self.N], fe.abdominal_pp[: self.N]
+            return cfg, bk.to_words(fe.thoracic_pp[: self.N]), bk.to_words(fe.abdominal_pp[: self.N])
         rng = np.random.default_rng(71)
         signs = rng.choice([-1.0, 1.0], self.N)
         if case == "saturating":
@@ -354,7 +366,7 @@ class TestScaledTapReuse:
         bk_run = make_backend(backend)
         run_dp = datapath(cfg, bk_run)
 
-        errors, first_flag = lms.run_canceller(run_dp, xw, dw)
+        errors, first_flag = cancel_words(run_dp, xw, dw)
         want, want_first, ar, ref = reference_runs(
             ("rescaling", backend, case), lambda: reference_canceller(backend, cfg, xw, dw)
         )
@@ -392,7 +404,7 @@ def update_loop(datapath, xw, dw):
     x_values, d_values = bk.to_values(xw).tolist(), bk.to_values(dw).tolist()
     with bk.rounding_scope():
         for i, (x, d) in enumerate(zip(x_values, d_values)):
-            errors.append(state.update(x, d)[0])
+            errors.append(state.update(x, d))
             if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
                 first_flag = i
     bk.ops.tally(len(errors), **state.ops_per_step)
@@ -432,7 +444,7 @@ class TestBlockKernel:
             cfg = LmsConfig(input_scale=fe.scale_x, desired_scale=fe.scale_d)
             n = len(fe.thoracic_pp) if case == "record" else 2 * self.B + 77
             assert n % self.B
-            return cfg, fe.thoracic_pp[:n], fe.abdominal_pp[:n], 0
+            return cfg, bk.to_words(fe.thoracic_pp[:n]), bk.to_words(fe.abdominal_pp[:n]), 0
         if case in ("saturating", "flushing"):
             cfg, xw, dw = TestScaledTapReuse().inputs(case, backend, request)
             return cfg, xw, dw, len(xw)
@@ -494,7 +506,7 @@ class TestBlockKernel:
         run_dp, loop_dp = datapath(cfg, bk_run), datapath(cfg, bk_loop)
 
         updates = count_updates(monkeypatch)
-        errors, first_flag = lms.run_canceller(run_dp, xw, dw)
+        errors, first_flag = cancel_words(run_dp, xw, dw)
         monkeypatch.undo()
         want, want_first = update_loop(loop_dp, xw, dw)
 
@@ -516,7 +528,7 @@ class TestBlockKernel:
     def test_empty_channels(self):
         bk = make_backend("soft")
         dp = ParallelDatapath(LmsConfig(), bk)
-        assert lms.run_canceller(dp, [], []) == ([], None)
+        assert cancel_words(dp, [], []) == ([], None)
         assert dp.stats.samples_processed == 0 and not any(bk.ops.values())
 
 
@@ -529,7 +541,7 @@ class TestRoundingScope:
         rng = np.random.default_rng(5)
         xw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, n)]
         dw = [bk.encode(float(v)) for v in rng.uniform(-2.0, 2.0, n)]
-        return lms.run_canceller(ParallelDatapath(LmsConfig(), bk), xw, dw)
+        return cancel_words(ParallelDatapath(LmsConfig(), bk), xw, dw)
 
     @staticmethod
     def preprocess():
@@ -537,7 +549,7 @@ class TestRoundingScope:
         bk = make_backend("soft")
         samples = np.random.default_rng(6).normal(0.0, 1.0, STREAM_BLOCK + 100)
         samples[::97] = 3e-37  # the low-pass input multiply flushes these
-        return PreprocessChain(bk).process(samples), bk.flags
+        return bk.to_words(PreprocessChain(bk).process(samples)), bk.flags
 
     def test_round_to_nearest_after_return(self):
         assert not truncating()
@@ -567,9 +579,9 @@ class TestRoundingScope:
         cfg, xw, dw = TestScaledTapReuse().inputs(case, backend, request)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lms.run_canceller(ParallelDatapath(cfg, make_backend(backend)), xw, dw)
-            lms.run_canceller(ParallelDatapath(LmsConfig(order=4, step_size=10.0),
-                                               make_backend(backend)), xw, dw)
+            cancel_words(ParallelDatapath(cfg, make_backend(backend)), xw, dw)
+            cancel_words(ParallelDatapath(LmsConfig(order=4, step_size=10.0),
+                                          make_backend(backend)), xw, dw)
 
     @pytest.mark.parametrize(
         "patch", [("_FE_TOWARDZERO", {}), ("_LIBM", "libfhrmon-absent.so")],

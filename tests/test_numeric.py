@@ -419,8 +419,8 @@ def test_stage_words_pinned():
     """Soft preprocess, enhancement and detector words, bit for bit, on a 2 s record."""
     rec = generate_synthetic(SynthSpec(duration_s=2.0, seed=1234))
     backend = SoftF32Backend()
-    thoracic = PreprocessChain(backend).process(rec.channel("thoracic"))
-    abdominal = PreprocessChain(backend).process(rec.channel("abdominal"))
+    thoracic = backend.to_words(PreprocessChain(backend).process(rec.channel("thoracic")))
+    abdominal = backend.to_words(PreprocessChain(backend).process(rec.channel("abdominal")))
     sdm, m1 = fhr.enhance(backend, abdominal)
     assert _digest(thoracic) == "3475a385133b0aa619896ae87c35981d8d4c52f12c7cb7279ba4b338f610a977"
     assert _digest(abdominal) == "742f9d92ddb6e14e8df4203ae5da1b9958253f01c41a71549d10f95cc58d2e59"

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fhrmon import fhr, fpu, lms
+from fhrmon import fhr, fpu, lms, pipeline
 from fhrmon.cli import main as cli_main
 from fhrmon.io import (
     Recording,
@@ -136,6 +136,26 @@ class TestRunPipeline:
         )
         rep = run_pipeline(cfg)
         assert rep.metrics is not None
+
+    def test_soft_pass_converts_only_the_errors_to_words(self, monkeypatch):
+        # values flow from ingest to the canceller's output; its errors are
+        # the one stream converted, for detection and the digests
+        calls = []
+
+        def counting_backend(*args):
+            backend = make_backend(*args)
+            for name in ("to_values", "to_words"):
+
+                def counted(*a, _name=name, _original=getattr(backend, name)):
+                    calls.append(_name)
+                    return _original(*a)
+
+                setattr(backend, name, counted)
+            return backend
+
+        monkeypatch.setattr(pipeline, "make_backend", counting_backend)
+        pipeline.execute(fast_config(backend="soft"), "parallel")
+        assert calls == ["to_words"]
 
 
 # sha256 of each trace file of the FAST_SPEC run (convergence at 2000).
@@ -334,7 +354,7 @@ class TestCancellationQuality:
         bk = art.backend
         rec = art.recording
         e = np.array([bk.decode(w) for w in art.errors])
-        abd = np.array([bk.decode(w) for w in art.front_end.abdominal_pp]) * art.front_end.scale_d
+        abd = art.front_end.abdominal_pp * art.front_end.scale_d
         f_ann = np.asarray(rec.annotations["fetal"].locations)
         m_ann = [
             m

@@ -216,14 +216,15 @@ class TestBaseline:
 
 class TestChain:
     def test_cascade_order_lowpass_notch_baseline(self):
-        chain = PreprocessChain(make_backend("float64"))
+        bk = make_backend("float64")
+        chain = PreprocessChain(bk)
         ar = Arithmetic("float64")
         lp = reference.lowpass(ar)
         nt = reference.notch(ar)
         mb = reference.Baseline(ar)
         rng = np.random.default_rng(21)
         x = rng.normal(size=300)
-        got = chain.process(x)
+        got = bk.to_words(chain.process(x))
         want = []
         for v in x:
             s = nt.step(lp.step(float(v)))
@@ -272,12 +273,12 @@ class TestIirFilterGeneric:
 def _chain_state(chain, words=list):
     """Every delay line, ring and running total of a chain, as words.
 
-    ``words`` converts the filters' delay lines: the package's hold values.
+    ``words`` converts the state: the package's stages hold values.
     """
     means = (chain.baseline.mean1, chain.baseline.mean2)
     return (
         [(words(f.input_history), words(f.output_history)) for f in (chain.lowpass, chain.notch)],
-        [(list(m.ring), m.mean) for m in means],
+        [(words(m.ring), words([m.mean])) for m in means],
     )
 
 
@@ -303,7 +304,8 @@ class TestStageMajorProcess:
         bk_run, ar = make_backend(backend), Arithmetic(backend)
         run_chain, ref_chain = PreprocessChain(bk_run), reference.Chain(ar)
         # Two calls: the second resumes from the state the first left.
-        got = run_chain.process(x[:1234]) + run_chain.process(x[1234:])
+        parts = [run_chain.process(x[:1234]), run_chain.process(x[1234:])]
+        got = bk_run.to_words(np.concatenate(parts))
         want = [ref_chain.step(ar.sample(float(v))) for v in x]
         assert got == want
         assert bk_run.flags == ar.flags
@@ -351,10 +353,10 @@ UNAVAILABLE_SCOPE = pytest.mark.parametrize(
 def _stage_state(stage, words=list):
     """A filter's delay lines, or a running mean's ring and total, as words.
 
-    ``words`` converts the delay lines: the package's filters hold values.
+    ``words`` converts the state: the package's stages hold values.
     """
     if isinstance(stage, (RunningMean, reference.Mean)):
-        return list(stage.ring), stage.mean
+        return words(stage.ring), words([stage.mean])
     return words(stage.input_history), words(stage.output_history)
 
 
