@@ -32,6 +32,9 @@ from .io import (
     write_recording,
 )
 from .pipeline import (
+    VALID_ARCHES,
+    VALID_BACKENDS,
+    VALID_CMP_MODES,
     ConfigError,
     PipelineError,
     RunConfig,
@@ -53,9 +56,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fs", type=float, help="sampling frequency (Hz)")
     parser.add_argument("--order", type=int, help="adaptive filter order")
     parser.add_argument("--mu", type=float, help="adaptive step size")
-    parser.add_argument("--arch", choices=("series", "parallel", "both"))
-    parser.add_argument("--cmp-mode", dest="cmp_mode", choices=("corrected", "verbatim"))
-    parser.add_argument("--backend", choices=("soft", "float64"))
+    parser.add_argument("--arch", choices=VALID_ARCHES)
+    parser.add_argument("--cmp-mode", dest="cmp_mode", choices=VALID_CMP_MODES)
+    parser.add_argument("--backend", choices=VALID_BACKENDS)
     parser.add_argument("--clock-hz", dest="clock_hz", type=float)
     parser.add_argument("--annotations", dest="annotations_path")
     parser.add_argument("--out", dest="out_dir")
@@ -113,11 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_compare(cfg: RunConfig) -> int:
-    try:
-        cmp_result = compare_architectures(cfg)
-    except PipelineError as exc:
-        print(json.dumps({"failure": str(exc)}, indent=2))
-        return 1
+    cmp_result = compare_architectures(cfg)
     payload = {
         "summary": cmp_result.summary(),
         "series": json.loads(cmp_result.series_report.to_json()),
@@ -218,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpu.add_argument("op", choices=("add", "sub", "mul", "cmp"))
     p_fpu.add_argument("a", help="8-hex-digit word")
     p_fpu.add_argument("b", help="8-hex-digit word")
-    p_fpu.add_argument(
-        "--cmp-mode", dest="cmp_mode", choices=("corrected", "verbatim"), default="corrected"
-    )
+    p_fpu.add_argument("--cmp-mode", dest="cmp_mode", choices=VALID_CMP_MODES, default="corrected")
     p_fpu.set_defaults(func=_cmd_fpu)
 
     return parser

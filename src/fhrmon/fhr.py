@@ -37,22 +37,19 @@ class NoEstimateError(ValueError):
 
 @dataclass
 class PeakSet:
-    """Ordered peak locations with optional enhanced-signal values."""
+    """Ordered peak locations."""
 
     locations: list[int] = field(default_factory=list)
-    values: list[float] | None = None
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.locations, self.locations[1:])):
             raise ValueError("peak locations must be strictly increasing")
-        if self.values is not None and len(self.values) != len(self.locations):
-            raise ValueError("values length must match locations length")
 
     def __len__(self) -> int:
         return len(self.locations)
 
     def shifted(self, offset: int) -> "PeakSet":
-        return PeakSet([p + offset for p in self.locations], self.values)
+        return PeakSet([p + offset for p in self.locations])
 
 
 @dataclass
@@ -188,7 +185,7 @@ def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object]:
             acc = bk.add(acc, sdm_seq[loc])
         m2 = bk.mul(acc, inv_count)
         th = bk.mul(bk.add(m1, m2), half)
-    return PeakSet(locations, [bk.decode(sdm_seq[loc]) for loc in locations]), th
+    return PeakSet(locations), th
 
 
 def select_fetal_peaks(backend, sdm_seq, maxima: PeakSet, th, min_gap: int) -> PeakSet:
@@ -215,7 +212,7 @@ def select_fetal_peaks(backend, sdm_seq, maxima: PeakSet, th, min_gap: int) -> P
         elif bk.gt(sdm_seq[loc], sdm_seq[cand]):
             cand = loc
     out.append(cand)
-    return PeakSet(out, [bk.decode(sdm_seq[loc]) for loc in out])
+    return PeakSet(out)
 
 
 def min_gap_samples(fs: float) -> int:
@@ -255,10 +252,7 @@ def compute_fhr(
     mean_rr_s = (sum(rr) / len(rr)) / fs
     fhr = 60.0 / mean_rr_s
     plausible = FHR_PLAUSIBLE_BPM[0] <= fhr <= FHR_PLAUSIBLE_BPM[1]
-    vals = None
-    if peaks.values is not None:
-        vals = [v for p, v in zip(peaks.locations, peaks.values) if p > convergence_index]
-    return FhrResult(fhr, mean_rr_s, rr, PeakSet(locs, vals), plausible)
+    return FhrResult(fhr, mean_rr_s, rr, PeakSet(locs), plausible)
 
 
 def _greedy_match(detections: list[int], truths: list[int], window: int):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import islice, repeat
 
@@ -44,15 +44,9 @@ DEFAULT_ORDER = 19
 DEFAULT_STEP_SIZE = 7e-5
 
 # Published arithmetic-unit budget of the serial datapath.  Its schedule
-# peaks at 5 ops in one cycle (``CycleStats.max_ops_per_cycle``), within this
-# budget; the parallel datapath needs one unit per operation of the whole
-# sample step (5m + 3).
+# peaks at 5 ops in one cycle (``Schedule.peak``), within this budget; the
+# parallel datapath needs one unit per operation of the whole sample step.
 SERIES_FPU_INSTANCES = 9
-
-
-def parallel_fpu_instances(order: int) -> int:
-    """Concurrent arithmetic units the one-cycle datapath instantiates."""
-    return 5 * order + 3
 
 
 @dataclass
@@ -76,15 +70,12 @@ class LmsConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Issue profile of one sample step, with its totals worked out once."""
+    """Issue profile of one sample step and the arithmetic units it needs."""
 
     cycles: int
     ops: int
     peak: int  # most ops issued in one cycle
-
-    @classmethod
-    def from_ops_per_cycle(cls, ops_per_cycle) -> Schedule:
-        return cls(len(ops_per_cycle), sum(ops_per_cycle), max(ops_per_cycle))
+    fpu_instances: int
 
     @classmethod
     def series(cls, order: int) -> Schedule:
@@ -98,40 +89,32 @@ class Schedule:
         * cycle 2m+1 — store the last weight; the new input enters the window
           (no arithmetic).
         """
-        return cls.from_ops_per_cycle([3] * order + [5] + [2] * (order - 1) + [0])
+        walk = [3] * order + [5] + [2] * (order - 1) + [0]
+        return cls(len(walk), sum(walk), max(walk), SERIES_FPU_INSTANCES)
 
     @classmethod
     def parallel(cls, order: int) -> Schedule:
-        """Every operation of the sample step in a single cycle."""
-        return cls.from_ops_per_cycle([parallel_fpu_instances(order)])
+        """Every operation of the sample step in one cycle, on a unit of its own."""
+        ops = 5 * order + 3
+        return cls(1, ops, ops, ops)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleStats:
+    """What ``samples_processed`` sample steps on one schedule add up to."""
+
     cycles_per_sample: int
+    total_cycles: int
     fpu_instances: int
-    total_cycles: int = 0
-    fpu_ops_issued: int = 0
-    samples_processed: int = 0
-    max_ops_per_cycle: int = 0
+    fpu_ops_issued: int
+    samples_processed: int
+    max_ops_per_cycle: int
 
-    def tally(self, schedule: Schedule, samples: int = 1) -> None:
-        """Add ``samples`` sample steps run on ``schedule``."""
-        self.total_cycles += schedule.cycles * samples
-        self.fpu_ops_issued += schedule.ops * samples
-        self.samples_processed += samples
-        if schedule.peak > self.max_ops_per_cycle:
-            self.max_ops_per_cycle = schedule.peak
+    @classmethod
+    def of(cls, s: Schedule, samples: int) -> CycleStats:
+        return cls(s.cycles, s.cycles * samples, s.fpu_instances, s.ops * samples, samples, s.peak)
 
-    def to_dict(self) -> dict:
-        return {
-            "cycles_per_sample": self.cycles_per_sample,
-            "total_cycles": self.total_cycles,
-            "fpu_instances": self.fpu_instances,
-            "fpu_ops_issued": self.fpu_ops_issued,
-            "samples_processed": self.samples_processed,
-            "max_ops_per_cycle": self.max_ops_per_cycle,
-        }
+    to_dict = asdict
 
 
 class LmsState:
@@ -170,26 +153,28 @@ class LmsState:
 class _Datapath:
     """A hardware schedule around the shared :class:`LmsState`."""
 
-    def __init__(self, cfg: LmsConfig, backend, schedule: Schedule, fpu_instances: int):
+    make_schedule = None  # Schedule.series or Schedule.parallel
+
+    def __init__(self, cfg: LmsConfig, backend):
         self.state = LmsState(cfg, backend)
-        self.schedule = schedule
-        self.stats = CycleStats(cycles_per_sample=schedule.cycles, fpu_instances=fpu_instances)
+        self.schedule = self.make_schedule(cfg.order)
+        self.samples = 0  # sample steps run, counted by run_canceller
+
+    @property
+    def stats(self) -> CycleStats:
+        return CycleStats.of(self.schedule, self.samples)
 
 
 class SeriesDatapath(_Datapath):
     """Serial schedule: 2m + 1 cycles per sample, one MAC lane."""
 
-    def __init__(self, cfg: LmsConfig, backend):
-        super().__init__(cfg, backend, Schedule.series(cfg.order), SERIES_FPU_INSTANCES)
+    make_schedule = Schedule.series
 
 
 class ParallelDatapath(_Datapath):
     """Fully unrolled schedule: every operation of a sample in one cycle."""
 
-    def __init__(self, cfg: LmsConfig, backend):
-        super().__init__(
-            cfg, backend, Schedule.parallel(cfg.order), parallel_fpu_instances(cfg.order)
-        )
+    make_schedule = Schedule.parallel
 
 
 def make_datapath(arch: str, cfg: LmsConfig, backend):
@@ -245,7 +230,7 @@ def run_canceller(datapath, x_values, d_values):
                 if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
                     first_flag = start + i
     bk.ops.tally(n, **state.ops_per_step)
-    datapath.stats.tally(datapath.schedule, n)
+    datapath.samples += n
     return errors, first_flag
 
 

@@ -456,6 +456,8 @@ def make_backend(name: str, cmp_mode: str = "corrected"):
     if name == "soft":
         return SoftF32Backend(cmp_mode)
     if name == "float64":
+        if cmp_mode != "corrected":
+            raise ValueError(f"cmp_mode {cmp_mode!r} applies to backend 'soft' only")
         return Float64Backend()
     raise ValueError(f"unknown backend: {name!r}")
 

@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigError(f"cmp_mode must be one of {VALID_CMP_MODES}")
         if self.backend not in VALID_BACKENDS:
             raise ConfigError(f"backend must be one of {VALID_BACKENDS}")
+        if self.backend == "float64" and self.cmp_mode != "corrected":
+            raise ConfigError(f"cmp_mode {self.cmp_mode!r} applies to backend 'soft' only")
         for name in ("order", "convergence_index"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
@@ -327,11 +329,11 @@ def write_traces(cfg: RunConfig, art: RunArtifacts) -> None:
     if "fhr" in cfg.trace:
         rows = enumerate(floats(backend.to_values(art.detection["sdm"])), art.convergence_index)
         write_csv("fhr.csv", "n,sdm\n", (f"{i},{v!r}\n" for i, v in rows))
-    peaks = art.detection["peaks_absolute"]
-    fs = art.recording.fs
-    sdm = peaks.values or [float("nan")] * len(peaks)
+    locs, fs = art.detection["peaks_absolute"].locations, art.recording.fs
+    sdm = art.detection["sdm"]
+    values = backend.to_values([sdm[loc - art.convergence_index] for loc in locs]).tolist()
     write_csv("peaks.csv", "index,time_s,sdm_value\n",
-              (f"{loc},{loc / fs!r},{v!r}\n" for loc, v in zip(peaks.locations, sdm)))
+              (f"{loc},{loc / fs!r},{v!r}\n" for loc, v in zip(locs, values)))
 
 
 def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
@@ -424,7 +426,7 @@ class ArchitectureComparison:
 
 
 def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
-    """Run both datapaths on one front end and demand bit-identical output.
+    """Run both datapaths on one front end and check their outputs are bit-identical.
 
     The recording is preprocessed once, in the series pass, and the parallel
     pass reuses those channels and scale factors; each datapath then runs its own
@@ -432,32 +434,33 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
     their error words are equal.  A comparison writes no files, so a
     configured ``out_dir`` or ``trace`` is a :class:`ConfigError`.
 
-    Raises :class:`PipelineError` naming the first divergent sample if the
-    error streams differ anywhere.
+    Error streams that differ anywhere give ``identical_outputs`` False,
+    ``first_divergence`` the first sample they differ at, and a failure in
+    both reports naming it.
     """
     _reject_file_outputs(cfg, "compare")
     rec = load_input(cfg)
     series_cfg, parallel_cfg = cfg.replaced(arch="series"), cfg.replaced(arch="parallel")
     series = execute(series_cfg, "series", rec)
     parallel = execute(parallel_cfg, "parallel", rec, series)
+    reports = build_report(series_cfg, series), build_report(parallel_cfg, parallel)
 
+    i = None
     if series.errors != parallel.errors:
         i = next(i for i, (a, b) in enumerate(zip(series.errors, parallel.errors)) if a != b)
-        raise PipelineError(
-            f"architecture outputs diverge at sample {i}: "
-            f"series={series.errors[i]!r} parallel={parallel.errors[i]!r}"
-        )
+        for report in reports:
+            report.failures.append(
+                f"architecture outputs diverge at sample {i}: "
+                f"series={series.errors[i]!r} parallel={parallel.errors[i]!r}"
+            )
 
+    s, p = lms.Schedule.series(cfg.order), lms.Schedule.parallel(cfg.order)
     return ArchitectureComparison(
-        series_report=build_report(series_cfg, series),
-        parallel_report=build_report(parallel_cfg, parallel),
-        identical_outputs=True,
-        first_divergence=None,
-        cycle_ratio=series.stats.total_cycles / parallel.stats.total_cycles,
-        fpu_instances={
-            "series": series.stats.fpu_instances,
-            "parallel": parallel.stats.fpu_instances,
-        },
+        *reports,
+        identical_outputs=i is None,
+        first_divergence=i,
+        cycle_ratio=s.cycles / p.cycles,
+        fpu_instances={"series": s.fpu_instances, "parallel": p.fpu_instances},
     )
 
 

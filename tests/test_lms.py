@@ -23,7 +23,6 @@ from fhrmon.lms import (
     SeriesDatapath,
     choose_scale_factor,
     make_datapath,
-    parallel_fpu_instances,
 )
 from fhrmon.numeric import make_backend
 from fhrmon.preprocess import STREAM_BLOCK, PreprocessChain
@@ -48,14 +47,6 @@ def state_words(datapath) -> tuple[list, list]:
     """A datapath's tap window and weights, as backend words."""
     st = datapath.state
     return st.backend.to_words(st.window_values), st.backend.to_words(st.weight_values)
-
-
-def tallied_stats(datapath, n: int) -> CycleStats:
-    """Fresh stats for ``datapath``'s schedule, tallied one sample at a time for ``n`` samples."""
-    stats = CycleStats(datapath.schedule.cycles, datapath.stats.fpu_instances)
-    for _ in range(n):
-        stats.tally(datapath.schedule)
-    return stats
 
 
 class TestPlainStep:
@@ -132,15 +123,14 @@ class TestCycleAccounting:
 
     def test_instance_constants(self):
         assert SeriesDatapath(LmsConfig(order=19), make_backend("soft")).stats.fpu_instances == 9
-        assert parallel_fpu_instances(19) == 98
+        assert Schedule.parallel(19).fpu_instances == 98
 
     def test_stats_serialization(self):
-        st = CycleStats(cycles_per_sample=39, fpu_instances=9)
-        st.tally(Schedule.series(19))
-        d = st.to_dict()
-        assert d["total_cycles"] == 39
-        assert d["fpu_ops_issued"] == 98
-        assert d["max_ops_per_cycle"] == 5
+        d = CycleStats.of(Schedule.series(19), 1).to_dict()
+        assert d == {
+            "cycles_per_sample": 39, "total_cycles": 39, "fpu_instances": 9,
+            "fpu_ops_issued": 98, "samples_processed": 1, "max_ops_per_cycle": 5,
+        }  # fmt: skip
 
     def test_unknown_architecture(self):
         with pytest.raises(ValueError):
@@ -311,7 +301,7 @@ class TestCancellerKernel:
         assert first_flag == want_first
         assert bk_run.flags == ar.flags
         assert bk_run.ops == ar.ops
-        assert run_dp.stats.to_dict() == tallied_stats(run_dp, len(xw)).to_dict()
+        assert run_dp.stats == CycleStats.of(run_dp.schedule, len(xw))
         np.testing.assert_array_equal(state_words(run_dp)[1], ref.weights)
         if backend == "soft" and case == "saturating":
             assert first_flag is not None
@@ -376,9 +366,8 @@ class TestScaledTapReuse:
         assert first_flag == want_first
         assert bk_run.flags == ar.flags
         assert bk_run.ops == ar.ops
-        stats = tallied_stats(run_dp, self.N)
-        assert run_dp.stats == stats
-        assert stats.fpu_ops_issued == sum(ar.ops.values())
+        assert run_dp.stats == CycleStats.of(run_dp.schedule, self.N)
+        assert run_dp.stats.fpu_ops_issued == sum(ar.ops.values())
         window, weights = state_words(run_dp)
         np.testing.assert_array_equal(window, ref.window)
         np.testing.assert_array_equal(weights, ref.weights)
@@ -408,7 +397,7 @@ def update_loop(datapath, xw, dw):
             if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
                 first_flag = i
     bk.ops.tally(len(errors), **state.ops_per_step)
-    datapath.stats.tally(datapath.schedule, len(errors))
+    datapath.samples += len(errors)
     return bk.to_words(errors), first_flag
 
 

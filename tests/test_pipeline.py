@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,6 @@ from fhrmon.numeric import make_backend
 from fhrmon.pipeline import (
     SCORING_GUARD_SAMPLES,
     ConfigError,
-    PipelineError,
     RunConfig,
     baseline_comparison,
     compare_architectures,
@@ -65,6 +65,21 @@ class TestRunConfig:
             RunConfig(synth=FAST_SPEC, trace=["fft"])
         with pytest.raises(ConfigError):
             RunConfig(synth=FAST_SPEC, order=0)
+
+    def test_verbatim_comparator_needs_soft_backend(self, tmp_path, capsys):
+        # the float64 backend compares in numeric order: verbatim is not ignored
+        message = "cmp_mode 'verbatim' applies to backend 'soft' only"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(synth=FAST_SPEC, backend="float64", cmp_mode="verbatim")
+        with pytest.raises(ValueError, match=message):
+            make_backend("float64", "verbatim")
+        assert make_backend("soft", "verbatim").cmp_mode == "verbatim"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        for command in ("run", "compare", "baseline"):
+            argv = [command, "--synth", str(spec_path), "--backend", "float64"]
+            assert cli_main([*argv, "--cmp-mode", "verbatim"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_rejects_negative_convergence_index(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="convergence_index"):
@@ -123,6 +138,18 @@ class TestRunPipeline:
     def test_both_arch_rejected(self):
         with pytest.raises(ConfigError):
             run_pipeline(fast_config(arch="both"))
+
+    def test_implausible_fhr_warned(self):
+        cfg = fast_config()
+        art = pipeline.execute(cfg, "parallel")
+        # peaks 100 samples apart at 1 kHz: 600 bpm, above the plausible range
+        peaks = fhr.PeakSet(list(range(2200, 3001, 100)))
+        art.detection = dict(art.detection, peaks_absolute=peaks)
+        rep = pipeline.build_report(cfg, art)
+        assert rep.fhr["fhr_bpm"] == pytest.approx(600.0)
+        assert rep.fhr["plausible"] is False
+        assert "FHR 600.0 bpm outside plausible range" in rep.warnings
+        assert rep.failures == []
 
     def test_annotations_loaded_from_file(self, tmp_path):
         rec = generate_synthetic(FAST_SPEC)
@@ -275,9 +302,12 @@ class TestCompareArchitectures:
 
         monkeypatch.setattr(fhr, "detect_peaks", counting_detect)
         monkeypatch.setattr(lms, "run_canceller", perturbed)
-        with pytest.raises(PipelineError, match="diverge at sample 3000"):
-            compare_architectures(fast_config(arch="both"))
+        cmp_result = compare_architectures(fast_config(arch="both"))
         assert calls == [4000, 4000]
+        assert not cmp_result.identical_outputs
+        assert cmp_result.first_divergence == 3000
+        for report in (cmp_result.series_report, cmp_result.parallel_report):
+            assert any("diverge at sample 3000" in f for f in report.failures)
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     def test_reports_match_single_architecture_runs(self, backend):
@@ -300,8 +330,13 @@ class TestCompareArchitectures:
             return errors, first_flag
 
         monkeypatch.setattr(lms, "run_canceller", perturbed)
-        with pytest.raises(PipelineError, match=r"diverge at sample 7: series=\S+ parallel=\S+$"):
-            compare_architectures(fast_config(arch="both"))
+        cmp_result = compare_architectures(fast_config(arch="both"))
+        assert (cmp_result.identical_outputs, cmp_result.first_divergence) == (False, 7)
+        for report in (cmp_result.series_report, cmp_result.parallel_report):
+            assert re.fullmatch(
+                r"architecture outputs diverge at sample 7: series=\S+ parallel=\S+",
+                report.failures[-1],
+            )
 
     @pytest.mark.parametrize(
         "argv",
@@ -332,6 +367,24 @@ class TestBaselineComparison:
         assert set(out) >= {"proposed", "single_mean", "threshold"}
         assert out["proposed"] is not None
         assert out["single_mean"] is not None
+
+    def test_cli_prints_rows(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        rc = cli_main(
+            ["baseline", "--synth", str(spec_path), "--backend", "float64",
+             "--convergence-index", "2000"]
+        )  # fmt: skip
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"proposed", "single_mean", "threshold"}
+        assert out == baseline_comparison(fast_config())
+
+    def test_requires_fetal_annotations(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_recording(generate_synthetic(SynthSpec(duration_s=0.5)), path)
+        with pytest.raises(ConfigError, match="requires fetal annotations"):
+            baseline_comparison(RunConfig(input_path=str(path), fs=1000.0))
 
     @pytest.mark.parametrize("argv", [["--out", "OUT"], ["--trace", "lms"], ["--config", "CFG"]])
     def test_out_and_trace_rejected(self, argv, tmp_path, capsys):
@@ -741,6 +794,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["identical_outputs"]
         assert payload["summary"]["cycle_ratio"] == 39.0
+
+    def test_compare_divergence_prints_payload_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        run_canceller = lms.run_canceller
+
+        def perturbed(datapath, x, d):
+            errors, first_flag = run_canceller(datapath, x, d)
+            if isinstance(datapath, lms.ParallelDatapath):
+                errors[2500] += 1.0
+            return errors, first_flag
+
+        monkeypatch.setattr(lms, "run_canceller", perturbed)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        rc = cli_main(
+            ["compare", "--synth", str(spec_path), "--backend", "float64",
+             "--convergence-index", "2000"]
+        )  # fmt: skip
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["identical_outputs"] is False
+        assert payload["summary"]["first_divergence"] == 2500
+        for arch in ("series", "parallel"):
+            assert payload[arch]["failures"][-1].startswith(
+                "architecture outputs diverge at sample 2500: "
+            )
 
     @pytest.mark.parametrize("arch", ["series", "parallel"])
     def test_compare_rejects_single_arch_flag(self, arch, tmp_path, capsys):
