@@ -31,6 +31,7 @@ The two datapath models run the same step and differ only in the
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -269,6 +270,10 @@ class _BlockKernel:
         self.sums = np.empty((BLOCK, m + 1), dt)
         self.terms = np.empty((BLOCK, m), dt)
         self.weights = np.empty((BLOCK + 1, m), dt)  # row i: the weights sample i reads
+        # Row views made once, as lists, so that a block's loop makes none.
+        self.window_rows = list(self.windows)
+        self.rows = list(zip(self.weights, self.weights[1:], self.products,
+                             self.products[:, 1:], self.sums, self.terms))
 
     def run(self, x: np.ndarray, d: np.ndarray, out: np.ndarray) -> bool:
         """Run a block of values; on success write its errors to ``out``."""
@@ -294,18 +299,21 @@ class _BlockKernel:
         multiply(raw, self.input_scale, out=self.taps[: n + m - 1])
         sd = multiply(d.astype(dt), self.desired_scale)
         self.weights[0] = st.weight_values
-        beta = self.beta
+        # The gain beta*e is cast as the value ops cast: e through a slot, then
+        # the product into a 0-d array, the operand numpy takes fastest.
+        beta, slot, gain = st.beta, array(dt.char, [0.0]), np.zeros((), dt)
         # sample i of a block of n reads window n - 1 - i
-        for win, w, w_next, p, p_taps, s, u, sd_i in zip(
-            self.windows[n - 1 :: -1], self.weights, self.weights[1:], self.products,
-            self.products[:, 1:], self.sums, self.terms, sd,
+        for win, (w, w_next, p, p_taps, s, u), sd_i in zip(
+            self.window_rows[n - 1 :: -1], self.rows, sd.tolist()
         ):
             multiply(win, w, p_taps)
             accumulate(p, out=s)
-            multiply(beta * (sd_i - s[m]), win, u)
+            slot[0] = sd_i - s.item(m)
+            gain[()] = beta * slot[0]
+            multiply(gain, win, u)
             add(w, u, w_next)
         e = sd - self.sums[:n, m]
-        return sd, e, beta * e
+        return sd, e, self.beta * e
 
     def in_range(self, d, sd, e, be, lo, hi) -> bool:
         """Whether no op's result, redone in float64, is out of range."""

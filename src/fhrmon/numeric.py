@@ -44,13 +44,15 @@ nothing (an overflow gives max normal, a subnormal stays), so:
   outside it every op goes to ``fpu_*``, so none can return a round-to-nearest
   word.  Each caller opens the scope around its op loop and encodes its
   constants before, since ``encode`` truncates inside it too.
-* scalar recursions, in which each sample needs the one before (the
-  preprocessing filters' output feedback, the running means), run through
-  :meth:`_Backend.recur`, ``STREAM_BLOCK`` samples at a time, as loops of
-  bare casts.  After each block every op's exact result is rebuilt in bulk
-  from the block's outputs and checked with :func:`out_of_range`; a block
-  with any op outside the range, and every block without the scope, reruns
-  on the value ops from its starting state.
+* scalar recursions, in which each sample needs the one before, run in the
+  scope in one of two forms.  A chain of sums (the running means) is one
+  ``np.add.accumulate`` in ``block_dtype`` (:meth:`_Backend.sum_chain`),
+  which adds strictly in sequence.  The filters' output feedback runs as
+  loops of bare casts, ``STREAM_BLOCK`` samples at a time
+  (:meth:`_Backend.recur`), each op then rebuilt in bulk from the outputs.
+  Every result is checked with :func:`out_of_range`; a chain or block with
+  any outside the range, and every one without the scope, is redone on the
+  value ops from its starting state.
 
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
@@ -65,6 +67,7 @@ import operator
 import os
 from array import array
 from contextlib import nullcontext
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,6 +75,7 @@ from . import fpu
 from .fpu import CmpCode, FpuFlags
 
 OP_NAMES = ("add", "sub", "mul", "gt", "lt")
+VALID_CMP_MODES = ("corrected", "verbatim")  # fpu_cmp's modes
 
 # Sign-and-exponent fields (word >> 23) of the nonzero normal 32-bit words;
 # only those operands take the value path in the soft word methods.
@@ -197,33 +201,47 @@ class _Backend:
                 out[i] = self._oracle(oracle, float(a[i]), float(b[i]))
         return out
 
-    def recur(self, stage, inputs, state):
-        """``stage``'s scalar recursion over the equal-length arrays ``inputs``.
+    def recur(self, stage, values, state):
+        """``stage``'s scalar recursion over the array ``values``.
 
         Returns the outputs and the state after the last sample.  The stage
-        runs one block from ``state`` as ``value_loop(state, *block)`` on the
-        value ops or as ``cast_loop(state, *block)`` on float32 casts, each
+        runs one block from ``state`` as ``value_loop(state, block)`` on the
+        value ops or as ``cast_loop(state, block)`` on float32 casts, each
         returning its outputs (an ``array("d")``) and end state; and
-        ``replay(state, outputs, *block)`` yields every op of the cast loop
+        ``replay(state, outputs, block)`` yields every op of the cast loop
         as ``(ufunc, a, b)``, rebuilt in bulk from its outputs.  Only a
-        backend with a ``block_range`` runs the cast loop (see the module
-        docstring).
+        backend with a ``block_range`` runs the cast loop.
         """
-        outputs = np.empty(len(inputs[0]))
-        for start in range(0, len(outputs), STREAM_BLOCK):
-            block = [x[start : start + STREAM_BLOCK] for x in inputs]
-            out, state = self._recur_block(stage, state, block)
+        outputs = np.empty(len(values))
+        for start in range(0, len(values), STREAM_BLOCK):
+            out, state = self._recur_block(stage, state, values[start : start + STREAM_BLOCK])
             outputs[start : start + len(out)] = np.frombuffer(out)
         return outputs, state
 
     def _recur_block(self, stage, state, block):
         with self.rounding_scope() as available, np.errstate(all="ignore"):
             if available and self.block_range is not None:
-                out, end = stage.cast_loop(state, *block)
-                replay = stage.replay(state, np.frombuffer(out), *block)
+                out, end = stage.cast_loop(state, block)
+                replay = stage.replay(state, np.frombuffer(out), block)
                 if not any_out_of_range(replay, *self.block_range):
                     return out, end
-            return stage.value_loop(state, *block)
+            return stage.value_loop(state, block)
+
+    def sum_chain(self, start: float, terms: np.ndarray) -> np.ndarray:
+        """The sums ``start + terms[0]``, ``+ terms[1]`` and so on, as ``vadd`` gives each."""
+        with self.rounding_scope() as available, np.errstate(all="ignore"):
+            sums = self._accumulated(start, terms) if available else None
+            return self._vadd_chain(start, terms) if sums is None else sums
+
+    def _accumulated(self, start: float, terms: np.ndarray):
+        """The chain as one accumulate, or None if any sum is :func:`out_of_range`."""
+        chain = np.add.accumulate(np.append(start, terms), dtype=self.block_dtype).astype(float)
+        bounds = self.block_range
+        return None if bounds and out_of_range(chain[:-1] + terms, *bounds).any() else chain[1:]
+
+    def _vadd_chain(self, start: float, terms: np.ndarray) -> np.ndarray:
+        """The chain on ``vadd``, one sum at a time: the exact path."""
+        return np.fromiter(accumulate(terms.tolist(), self.vadd, initial=start), float)[1:]
 
 
 class SoftF32Backend(_Backend):
@@ -453,6 +471,8 @@ class Float64Backend(_Backend):
 
 
 def make_backend(name: str, cmp_mode: str = "corrected"):
+    if cmp_mode not in VALID_CMP_MODES:
+        raise ValueError(f"cmp_mode must be one of {VALID_CMP_MODES}, got {cmp_mode!r}")
     if name == "soft":
         return SoftF32Backend(cmp_mode)
     if name == "float64":
@@ -491,36 +511,13 @@ class RunningMean:
         """The mean after each sample of a whole stream of values."""
         bk = self.backend
         scaled = bk.bulk_mul(values, self._inv)
-        # Sample k evicts element k of the ring followed by the scaled stream.
+        n = len(scaled)
+        # Sample k adds its scaled value, then the negation (exact) of the one
+        # it evicts: element k of the ring followed by the scaled stream.
         queue = np.concatenate([self.ring, scaled])
-        means, self.mean = bk.recur(self, (scaled, queue[: len(scaled)]), self.mean)
-        bk.ops.tally(len(scaled), add=1, sub=1)
+        terms = np.column_stack([scaled, -queue[:n]]).ravel()
+        means = bk.sum_chain(self.mean, terms)[1::2]
+        bk.ops.tally(n, add=1, sub=1)
+        self.mean = float(means[-1]) if n else self.mean
         self.ring = queue[-len(self.ring) :].copy()
         return means
-
-    # -- one block of the recursion, in the forms _Backend.recur runs ---------
-
-    def value_loop(self, mean: float, new, old):
-        vadd, vsub = self.backend.vadd, self.backend.vsub
-        means = array("d")
-        append = means.append
-        for n, o in zip(memoryview(new), memoryview(old)):
-            mean = vsub(vadd(mean, n), o)
-            append(mean)
-        return means, mean
-
-    def cast_loop(self, mean: float, new, old):
-        slot = array("f", [0.0])
-        means = array("d")
-        append = means.append
-        for n, o in zip(memoryview(new), memoryview(old)):
-            slot[0] = mean + n
-            slot[0] = slot[0] - o
-            mean = slot[0]
-            append(mean)
-        return means, mean
-
-    def replay(self, mean: float, means, new, old):
-        previous = np.concatenate([[mean], means[:-1]]).astype(np.float32)
-        yield np.add, previous, new
-        yield np.subtract, np.add(previous, new, dtype=np.float32), old

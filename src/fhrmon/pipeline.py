@@ -29,7 +29,7 @@ from . import fhr, fpu, lms
 from .io import (
     Recording, SynthSpec, generate_synthetic, is_number, load_annotations, load_recording
 )
-from .numeric import make_backend
+from .numeric import VALID_CMP_MODES, make_backend
 from .preprocess import PreprocessChain
 
 DEFAULT_CLOCK_HZ = 50_000_000
@@ -45,7 +45,6 @@ TRACE_BLOCK = 256
 REFERENCE_CONVERGENCE_MS = {"series": 18.72, "parallel": 0.48}
 
 VALID_ARCHES = ("series", "parallel", "both")
-VALID_CMP_MODES = ("corrected", "verbatim")
 VALID_BACKENDS = ("soft", "float64")
 OPTIONAL_PATHS = ("input_path", "annotations_path", "out_dir")
 
@@ -381,15 +380,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     try:
         art = execute(cfg, cfg.arch, rec)
     except PipelineError as exc:
-        conv = effective_convergence_index(cfg.convergence_index, rec.n_samples)
-        report = RunReport(
-            config=cfg.to_dict(),
-            n_samples=rec.n_samples,
-            fs=rec.fs,
-            convergence_index=conv,
-            scoring_start=conv + SCORING_GUARD_SAMPLES,
-            failures=[str(exc)],
-        )
+        report = _failed_report(cfg, rec, exc)
     else:
         write_traces(cfg, art)
         report = build_report(cfg, art)
@@ -397,6 +388,14 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         report.write(Path(cfg.out_dir) / "report.json")
     return report
+
+
+def _failed_report(cfg: RunConfig, rec: Recording, exc: PipelineError) -> RunReport:
+    """The report of a pass over ``rec`` that ``exc`` stopped: the failure, and no results."""
+    conv = effective_convergence_index(cfg.convergence_index, rec.n_samples)
+    return RunReport(config=cfg.to_dict(), n_samples=rec.n_samples, fs=rec.fs,
+                     convergence_index=conv, scoring_start=conv + SCORING_GUARD_SAMPLES,
+                     failures=[str(exc)])
 
 
 def _reject_file_outputs(cfg: RunConfig, command: str) -> None:
@@ -436,28 +435,35 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
 
     Error streams that differ anywhere give ``identical_outputs`` False,
     ``first_divergence`` the first sample they differ at, and a failure in
-    both reports naming it.
+    both reports naming it.  A pass that fails with :class:`PipelineError`
+    leaves both reports with that failure, as :func:`run_pipeline` does, and
+    ``identical_outputs`` False: there are no outputs to compare.
     """
     _reject_file_outputs(cfg, "compare")
     rec = load_input(cfg)
     series_cfg, parallel_cfg = cfg.replaced(arch="series"), cfg.replaced(arch="parallel")
-    series = execute(series_cfg, "series", rec)
-    parallel = execute(parallel_cfg, "parallel", rec, series)
-    reports = build_report(series_cfg, series), build_report(parallel_cfg, parallel)
-
     i = None
-    if series.errors != parallel.errors:
-        i = next(i for i, (a, b) in enumerate(zip(series.errors, parallel.errors)) if a != b)
-        for report in reports:
-            report.failures.append(
-                f"architecture outputs diverge at sample {i}: "
-                f"series={series.errors[i]!r} parallel={parallel.errors[i]!r}"
-            )
+    try:
+        series = execute(series_cfg, "series", rec)
+        parallel = execute(parallel_cfg, "parallel", rec, series)
+    except PipelineError as exc:
+        reports = _failed_report(series_cfg, rec, exc), _failed_report(parallel_cfg, rec, exc)
+        identical = False
+    else:
+        reports = build_report(series_cfg, series), build_report(parallel_cfg, parallel)
+        if series.errors != parallel.errors:
+            i = next(i for i, (a, b) in enumerate(zip(series.errors, parallel.errors)) if a != b)
+            for report in reports:
+                report.failures.append(
+                    f"architecture outputs diverge at sample {i}: "
+                    f"series={series.errors[i]!r} parallel={parallel.errors[i]!r}"
+                )
+        identical = i is None
 
     s, p = lms.Schedule.series(cfg.order), lms.Schedule.parallel(cfg.order)
     return ArchitectureComparison(
         *reports,
-        identical_outputs=i is None,
+        identical_outputs=identical,
         first_divergence=i,
         cycle_ratio=s.cycles / p.cycles,
         fpu_instances={"series": s.fpu_instances, "parallel": p.fpu_instances},

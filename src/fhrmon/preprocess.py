@@ -21,10 +21,10 @@ backends share the exact same constants.
 Each stage's ``run`` consumes a whole stream of values and leaves its state
 ready for the next call.  :meth:`PreprocessChain.process` runs stage-major
 over blocks of the channel: each stage's feed-forward terms as bulk ops over
-the block, its recursion as a scalar loop, then the next stage.  On the soft
-backend that loop casts each op's double result to float32 under
-round-toward-zero, and a bulk replay of the block's ops from its outputs
-checks that every one stayed in the normal range; a block that fails, or any
+the block, then its recursion, then the next stage.  A filter's recursion is
+a scalar loop, on the soft backend of float32 casts under round-toward-zero;
+a running mean's is one accumulate of its running total.  A bulk check then
+finds any result outside the normal range; a block that has one, or any
 block where the rounding mode cannot be set, reruns on the value ops (see
 :mod:`fhrmon.numeric`).  Every stage holds its constants and state as
 float32 values, and the chain returns values.
@@ -81,7 +81,7 @@ class IirFilter:
                 acc = bk.bulk_add(acc, bk.bulk_mul(coeff, past[n_in - j : len(past) - j]))
             self.input_history = past[: -n_in - 1 : -1].tolist()
         # Output terms, a recursion: one scalar pass, newest output first.
-        out, self.output_history = bk.recur(self, (acc,), self.output_history)
+        out, self.output_history = bk.recur(self, acc, self.output_history)
         bk.ops.tally(len(acc), add=self._n_out, mul=self._n_out)
         return out
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from fhrmon import lms, pipeline
+from fhrmon.io import SynthSpec
 from fhrmon.numeric import make_backend
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,6 +40,11 @@ def tracing():
 @pytest.fixture(scope="module")
 def workloads():
     return load("workloads")
+
+
+@pytest.fixture(scope="module")
+def fpu_micro():
+    return load("fpu_micro")
 
 
 def test_span_targets_resolve(tracing):
@@ -84,3 +90,17 @@ def test_compare_pass_passes_the_gate(workloads, tmp_path, monkeypatch):
     problems, digests = workloads.gate(wl, inputs, outcome, arts)
     assert problems == []
     assert set(digests) == {"peaks", "errors"}
+
+
+def test_counted_pass_feeds_every_fpu_micro_corpus(tracing, fpu_micro):
+    # the benchmark's --trace 1 path on a short soft record: an op-counting
+    # pass, then the micro-bench on the operands it sampled, which divides by
+    # the size of each kind's corpus
+    counter = tracing.OpCounter(256, 20191016)
+    cfg = pipeline.RunConfig(synth=SynthSpec(duration_s=2.0, seed=1234))
+    with tracing.Tracer(counter).installed():
+        assert pipeline.run_pipeline(cfg).ok
+    corpora = {method: reservoir.items for method, reservoir in counter.samples.items()}
+    assert [m for m in tracing.OP_KINDS if not corpora[m]] == []
+    _, problems = fpu_micro.run(corpora, True)
+    assert problems == []

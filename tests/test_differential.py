@@ -5,8 +5,8 @@ segments, each scaled by its own power of two: ordinary magnitudes, ones
 near 2^127 that saturate, and ones near or below 2^-126 that flush.  On every
 record ``pipeline.execute`` must give the reference's error words, flag
 totals, first flagged sample, meter counts, enhanced signal, threshold and
-peaks, whichever path (cast loop, block kernel or their exact reruns) each
-block took.
+peaks, whichever path (cast loop, sum chain accumulate, block kernel or their
+exact reruns) each block took.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fhrmon import fpu, pipeline
 from fhrmon.io import Recording, SynthSpec, generate_synthetic
 from fhrmon.lms import LmsConfig, LmsState, choose_scale_factor
-from fhrmon.numeric import RunningMean
+from fhrmon.numeric import SoftF32Backend
 from fhrmon.preprocess import IirFilter
 
 MAX_SAMPLES = 1000
@@ -110,7 +110,8 @@ def test_soft_execute_matches_reference(spec, cmp_mode):
 @pytest.mark.parametrize("name", list(EXAMPLES))
 def test_examples_reach_their_path(name, monkeypatch):
     calls = []
-    exact_paths = ((IirFilter, "value_loop"), (RunningMean, "value_loop"), (LmsState, "update"))
+    # the running means' exact path is the sum chain's, on the backend
+    exact_paths = ((IirFilter, "value_loop"), (SoftF32Backend, "_vadd_chain"), (LmsState, "update"))
     for owner, attr in exact_paths:
 
         def counted(*args, _owner=owner, _original=getattr(owner, attr)):
@@ -124,6 +125,6 @@ def test_examples_reach_their_path(name, monkeypatch):
         "saturation": flags.overflow,
         "flush": flags.underflow,
         "rejected_lms_block": LmsState in calls,
-        "rerun_recursion_block": IirFilter in calls or RunningMean in calls,
+        "rerun_recursion_block": IirFilter in calls or SoftF32Backend in calls,
     }
     assert reached[name]

@@ -17,15 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhrmon import fhr, lms
+from fhrmon import fhr, lms, numeric
 from fhrmon.fpu import (
     FRAC_MASK, MAX_NORMAL_MAG, FpuFlags, OperandError, decode, fpu_add, fpu_mul, fpu_sub, join
 )
 from fhrmon.io import SynthSpec, generate_synthetic
-from fhrmon.numeric import RunningMean, SoftF32Backend
+from fhrmon.numeric import SoftF32Backend, make_backend
 from fhrmon.pipeline import run_pipeline
 from fhrmon.preprocess import IirFilter, PreprocessChain
 from test_fpu import random_normal_words
+from test_lms import truncating
 
 ORACLES = {"add": fpu_add, "sub": fpu_sub, "mul": fpu_mul}
 SIGN = 0x80000000
@@ -376,6 +377,102 @@ def test_every_form_matches_fpu_on_normal_words(a, b):
         assert words.flags == values.flags == bulk.flags == ref_flags
 
 
+def trace_paths(owner, names, monkeypatch) -> list:
+    """Record, in order, each call of ``owner``'s fast and exact path, named by ``names``.
+
+    Calls append ``"fast"`` or ``"exact"`` to the list returned.
+    """
+    paths = []
+    for name, tag in zip(names, ("fast", "exact")):
+
+        def traced(*args, _path=getattr(owner, name), _tag=tag):
+            paths.append(_tag)
+            return _path(*args)
+
+        monkeypatch.setattr(owner, name, traced)
+    return paths
+
+
+SUM_CHAIN_PATHS = ("_accumulated", "_vadd_chain")
+
+
+def _bits(values) -> list:
+    """The float64 bit patterns of values: signed zeros told apart."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestSumChain:
+    """``sum_chain`` against a plain ``vadd`` loop, word for word and flag for flag.
+
+    Its fast path is one accumulate; a chain with any sum out of range, or
+    any chain without the rounding scope, is redone on ``vadd``.
+    """
+
+    # What the chain starts with, from 0, before ordinary float32 terms.
+    HEADS = {
+        "in_range": [],
+        # 2^-110 - (2^-110 - 2^-128) = 2^-128, below the normal range: flushed
+        "flush": [2.0**-110, -(2.0**-110 - 2.0**-128)],
+        # 3e38 + 3e38 passes 2^128: saturated
+        "saturate": [3e38, 3e38],
+    }
+
+    @classmethod
+    def terms(cls, case) -> np.ndarray:
+        tail = np.random.default_rng(20).normal(0.0, 4.0, 3000)
+        return np.concatenate([cls.HEADS[case], tail]).astype(np.float32).astype(np.float64)
+
+    @staticmethod
+    def vadd_loop(bk, start, terms) -> list:
+        """The sums as one ``vadd`` after another, in the rounding scope."""
+        sums = []
+        with bk.rounding_scope():
+            for t in terms.tolist():
+                start = bk.vadd(start, t)
+                sums.append(start)
+        return sums
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    @pytest.mark.parametrize("case", list(HEADS))
+    def test_matches_vadd_loop(self, case, backend, monkeypatch):
+        terms = self.terms(case)
+        reference = make_backend(backend)
+        want = self.vadd_loop(reference, 0.0, terms)
+        bk = make_backend(backend)
+        paths = trace_paths(bk, SUM_CHAIN_PATHS, monkeypatch)
+        assert _bits(bk.sum_chain(0.0, terms)) == _bits(want)
+        assert bk.flags == reference.flags
+        out_of_range = backend == "soft" and case != "in_range"
+        assert bool(reference.flags.overflow + reference.flags.underflow) == out_of_range
+        # only a chain with a sum out of range reruns
+        assert paths == (["fast", "exact"] if out_of_range else ["fast"])
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_without_scope_runs_the_vadd_chain(self, backend, monkeypatch):
+        terms = self.terms("in_range")
+        reference = make_backend(backend)
+        want = self.vadd_loop(reference, 1.5, terms)
+        monkeypatch.setattr(numeric, "_rounding", None)
+        monkeypatch.setattr(numeric, "_FE_TOWARDZERO", {})
+        bk = make_backend(backend)
+        paths = trace_paths(bk, SUM_CHAIN_PATHS, monkeypatch)
+        assert _bits(bk.sum_chain(1.5, terms)) == _bits(want)
+        assert bk.flags == reference.flags
+        # float64 needs no scope: its accumulate is the value ops
+        assert paths == (["exact"] if backend == "soft" else ["fast"])
+
+    def test_round_to_nearest_after_operand_error(self):
+        # the last sum, 2^-140, is subnormal, so the chain reruns on vadd,
+        # whose fpu_add refuses that subnormal operand (float64 checks none)
+        terms = np.array([1.0, -1.0, 2.0**-140])
+        with pytest.raises(OperandError) as want:
+            self.vadd_loop(SoftF32Backend(), 0.0, terms)
+        with pytest.raises(OperandError) as raised:
+            SoftF32Backend().sum_chain(0.0, terms)
+        assert str(raised.value) == str(want.value)
+        assert not truncating()
+
+
 def _count_ops(backend) -> dict:
     """The backend's own op meter, zeroed; it counts word, bulk and kernel ops."""
     backend.ops.update(dict.fromkeys(backend.ops, 0))
@@ -440,7 +537,8 @@ def test_stage_words_pinned():
 def test_soft_pass_never_takes_the_exact_path(monkeypatch, default_config):
     """A soft pass over the default 30 s record runs every block on the fast path.
 
-    The exact path (the value loops, the LMS sample step and the oracle)
+    The exact path (the value loops, the sum chain on ``vadd``, the LMS
+    sample step and the oracle)
     gives the same words, only slower, so a scope or replay fault that sent
     every block there would pass every word test; count the calls instead.
     """
@@ -449,7 +547,7 @@ def test_soft_pass_never_takes_the_exact_path(monkeypatch, default_config):
     calls = {}
     slow_paths = (
         (IirFilter, "value_loop"),
-        (RunningMean, "value_loop"),
+        (SoftF32Backend, "_vadd_chain"),  # the running means' exact path
         (lms.LmsState, "update"),
         (SoftF32Backend, "_oracle"),
     )

@@ -81,6 +81,12 @@ class TestRunConfig:
             assert cli_main([*argv, "--cmp-mode", "verbatim"]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_backend_rejects_unknown_comparator_mode(self, backend):
+        # refused when the backend is built, not at detection's first comparison
+        with pytest.raises(ValueError, match=r"cmp_mode must be one of \('corrected', 'verbatim'\)"):
+            make_backend(backend, "quick")
+
     def test_rejects_negative_convergence_index(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="convergence_index"):
             fast_config(convergence_index=-1500)
@@ -819,6 +825,23 @@ class TestCli:
             assert payload[arch]["failures"][-1].startswith(
                 "architecture outputs diverge at sample 2500: "
             )
+
+    def test_compare_past_the_marker_prints_payload_and_exits_1(self, tmp_path, capsys):
+        # a 2 s record has no samples after marker 5000: both passes fail as a run does
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SynthSpec(duration_s=2.0, seed=21).to_dict()))
+        argv = ["--synth", str(spec_path), "--convergence-index", "5000"]
+        assert cli_main(["run", *argv]) == 1
+        run_report = json.loads(capsys.readouterr().out)
+        assert cli_main(["compare", *argv]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["identical_outputs"] is False
+        assert payload["summary"]["first_divergence"] is None
+        for arch in ("series", "parallel"):
+            assert payload[arch]["failures"] == ["no samples after the convergence marker"]
+            assert payload[arch]["failures"] == run_report["failures"]
+            assert payload[arch]["config"]["arch"] == arch
+            assert payload[arch]["convergence_index"] == 5000
 
     @pytest.mark.parametrize("arch", ["series", "parallel"])
     def test_compare_rejects_single_arch_flag(self, arch, tmp_path, capsys):

@@ -13,6 +13,7 @@ import reference
 from reference import Arithmetic
 from scipy import signal as sp_signal
 from test_lms import truncating
+from test_numeric import SUM_CHAIN_PATHS, trace_paths
 
 from fhrmon import fpu, numeric
 from fhrmon.io import SynthSpec, generate_synthetic
@@ -382,34 +383,39 @@ def _reference_run(make, values, kind):
 
 
 def _trace_paths(stage, monkeypatch) -> list:
-    """Record, in order, each block's loops: ``"cast"``, then ``"value"`` if it reran."""
-    paths = []
-    for name, tag in (("cast_loop", "cast"), ("value_loop", "value")):
-        loop = getattr(stage, name)
+    """Record, in order, each block's paths: ``"fast"``, then ``"exact"`` if it reran.
 
-        def traced(*args, _loop=loop, _tag=tag):
-            paths.append(_tag)
-            return _loop(*args)
-
-        monkeypatch.setattr(stage, name, traced)
-    return paths
+    A filter's are its cast loop and value loop; a running mean's, its
+    backend's sum chain accumulate and ``vadd`` chain.
+    """
+    if isinstance(stage, RunningMean):
+        return trace_paths(stage.backend, SUM_CHAIN_PATHS, monkeypatch)
+    return trace_paths(stage, ("cast_loop", "value_loop"), monkeypatch)
 
 
 def _soft_paths(n_blocks: int, rejected) -> list:
-    return [p for i in range(n_blocks) for p in (["cast", "value"] if i in rejected else ["cast"])]
+    return [p for i in range(n_blocks) for p in (["fast", "exact"] if i in rejected else ["fast"])]
 
 
 class TestCastRecursion:
     """``IirFilter.run`` and ``RunningMean.run`` against their reference stages.
 
-    On the soft backend each block's recursion runs as float32 casts under
-    round-toward-zero; a block with any op out of range reruns on the value
-    ops.  Words, flags, meter readings and state must equal the reference's.
+    On the soft backend each block of a filter's recursion runs as float32
+    casts under round-toward-zero, and each call of a running mean as one
+    sum chain accumulate; a block or chain with any op out of range reruns on
+    the value ops.  Words, flags, meter readings and state must equal the
+    reference's.
     """
 
     B = STREAM_BLOCK
     SPLIT = 1234  # run in two calls, the second resuming from the first's state
     N = 2 * STREAM_BLOCK + 300  # blocks [0, SPLIT), then two from SPLIT, the last one short
+
+    def block_of(self, stage, k: int) -> int:
+        """The block sample ``k`` falls in: a running mean's call is one chain."""
+        if k < self.SPLIT:
+            return 0
+        return 1 if isinstance(stage, RunningMean) else 1 + (k - self.SPLIT) // self.B
 
     @staticmethod
     def ecg() -> np.ndarray:
@@ -449,9 +455,9 @@ class TestCastRecursion:
         """``make(backend).run`` in two calls against ``want``, a :func:`_reference_run`
         on ``x``; they must agree.
 
-        Returns each block's loops (see ``_trace_paths``), the samples whose
-        reference step raised a flag, and the blocks of ``run`` those samples
-        fall in.
+        Returns each block's paths (see ``_trace_paths``), the samples whose
+        reference step raised a flag, the blocks of ``run`` those samples
+        fall in, and the number of blocks.
         """
         bk_run = make_backend(backend)
         run = make(bk_run)
@@ -464,8 +470,8 @@ class TestCastRecursion:
         assert bk_run.flags == ar.flags
         assert bk_run.ops == ar.ops
         assert _stage_state(run, bk_run.to_words) == state
-        blocks = {0 if k < split else 1 + (k - split) // self.B for k in flagged}
-        return paths, flagged, blocks
+        blocks = {self.block_of(run, k) for k in flagged}
+        return paths, flagged, blocks, self.block_of(run, self.N - 1) + 1
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     @pytest.mark.parametrize("case", ["ecg", "saturating", "flushing", "flag_first", "flag_last"])
@@ -475,15 +481,17 @@ class TestCastRecursion:
         want = reference_runs(
             (name, case, backend), lambda: _reference_run(REFERENCES[name], x, backend)
         )
-        paths, flagged, blocks = self.run_and_step(RECURSIONS[name], x, backend, monkeypatch, want)
+        make = RECURSIONS[name]
+        paths, flagged, blocks, n_blocks = self.run_and_step(make, x, backend, monkeypatch, want)
         if backend == "float64":
-            assert paths == ["value"] * 3
+            # a filter's loop runs on the value ops; a running mean's accumulate is them
+            assert paths == ["fast" if name == "mean" else "exact"] * n_blocks
         elif case in ("saturating", "flushing"):
             # some flags come from the feed-forward bulk ops: at least one block reruns
-            assert flagged and "value" in paths and paths.count("cast") == 3
+            assert flagged and "exact" in paths and paths.count("fast") == n_blocks
         else:
             # every flag comes from the recursion: exactly the flagged blocks rerun
-            assert paths == _soft_paths(3, blocks)
+            assert paths == _soft_paths(n_blocks, blocks)
             if case != "ecg":
                 assert flagged[0] == self.SPLIT + self.B - (case == "flag_last")
             else:
@@ -515,9 +523,9 @@ class TestCastRecursion:
             want_flagged = [p + 256]
         x = make_backend("soft").ingest(x)
         want = _reference_run(make_reference, x, "soft")
-        paths, flagged, blocks = self.run_and_step(make, x, "soft", monkeypatch, want)
+        paths, flagged, blocks, n_blocks = self.run_and_step(make, x, "soft", monkeypatch, want)
         assert flagged == want_flagged
-        assert paths == _soft_paths(3, blocks) and "value" in paths
+        assert paths == _soft_paths(n_blocks, blocks) and "exact" in paths
 
     @UNAVAILABLE_SCOPE
     @pytest.mark.parametrize("case", ["ecg", "flushing"])
@@ -536,12 +544,13 @@ class TestCastRecursion:
         paths = _trace_paths(run, monkeypatch)
         assert bk_run.to_words(run.run(x)) == want
         assert bk_run.flags == ar.flags and bk_run.ops == ar.ops
-        assert paths == ["value"] * -(-self.N // self.B)
+        # one call: a running mean's chain, or a filter's blocks
+        assert paths == ["exact"] * (1 if name == "mean" else -(-self.N // self.B))
         assert numeric._rounding is False
 
 
 class TestRecursionRoundingScope:
-    """The cast loops run only inside the round-toward-zero scope."""
+    """The cast loops and the sum chain accumulate run only inside the round-toward-zero scope."""
 
     @staticmethod
     def process(n=STREAM_BLOCK + 100):
@@ -553,17 +562,21 @@ class TestRecursionRoundingScope:
         self.process()
         assert not truncating()
 
-    @pytest.mark.parametrize("cls", [IirFilter, RunningMean])
-    def test_round_to_nearest_after_operand_error_in_a_block(self, cls, monkeypatch):
-        cast_loop = cls.cast_loop
+    @pytest.mark.parametrize(
+        "owner, fast_path",
+        [(IirFilter, "cast_loop"), (numeric.SoftF32Backend, "_accumulated")],
+        ids=["IirFilter", "RunningMean"],  # a running mean's fast path is its backend's
+    )
+    def test_round_to_nearest_after_operand_error_in_a_block(self, owner, fast_path, monkeypatch):
+        original = getattr(owner, fast_path)
         seen = []
 
         def failing(self, *args):
-            cast_loop(self, *args)
+            original(self, *args)
             seen.append(truncating())
             raise fpu.OperandError("inside a block")
 
-        monkeypatch.setattr(cls, "cast_loop", failing)
+        monkeypatch.setattr(owner, fast_path, failing)
         with pytest.raises(fpu.OperandError, match="inside a block"):
             self.process()
         assert seen == [True]
