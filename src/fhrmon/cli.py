@@ -90,6 +90,11 @@ def _checked(build, data: dict):
         raise ConfigError(str(exc)) from None
 
 
+def _print_json(payload: dict, sort_keys: bool = True) -> None:
+    """Print ``payload`` as strict JSON: a NaN or infinity raises, never prints."""
+    print(json.dumps(payload, indent=2, sort_keys=sort_keys, allow_nan=False))
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
@@ -122,7 +127,7 @@ def _run_compare(cfg: RunConfig) -> int:
         "series": json.loads(cmp_result.series_report.to_json()),
         "parallel": json.loads(cmp_result.parallel_report.to_json()),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_json(payload)
     ok = cmp_result.series_report.ok and cmp_result.parallel_report.ok
     return 0 if ok else 1
 
@@ -134,10 +139,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    result = baseline_comparison(cfg)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+    result = baseline_comparison(_config_from_args(args))
+    _print_json(result)
+    return 1 if result["failures"] else 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -151,19 +155,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     write_recording(rec, out)
     ann_path = out.with_suffix(".ann")
     write_annotations(ann_path, rec.annotations)
-    print(
-        json.dumps(
-            {
-                "recording": str(out),
-                "annotations": str(ann_path),
-                "n_samples": rec.n_samples,
-                "fs": rec.fs,
-                "fetal_beats": len(rec.annotations["fetal"]),
-                "maternal_beats": len(rec.annotations["maternal"]),
-            },
-            indent=2,
-        )
-    )
+    _print_json({
+        "recording": str(out),
+        "annotations": str(ann_path),
+        "n_samples": rec.n_samples,
+        "fs": rec.fs,
+        "fetal_beats": len(rec.annotations["fetal"]),
+        "maternal_beats": len(rec.annotations["maternal"]),
+    }, sort_keys=False)
     return 0
 
 
@@ -184,7 +183,7 @@ def _cmd_fpu(args: argparse.Namespace) -> int:
         out["underflow"] = flags.underflow
     else:
         out["relation"] = fpu.CmpCode(result).name
-    print(json.dumps(out, indent=2))
+    _print_json(out, sort_keys=False)
     return 0
 
 

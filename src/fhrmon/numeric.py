@@ -32,27 +32,27 @@ saturation/flush flags and ``OperandError`` messages come from
 :mod:`fhrmon.fpu` itself, which stays the bit-level oracle.
 
 Scalar arithmetic on the soft path is one form, the float32 cast: the Python
-double op, then a store into and a load from an ``array("f")`` slot.  In the
-scope that C cast truncates; a product of two float32 values is exact in a
-double, and a sum truncated to 53 bits and then to 24 is the sum truncated to
-24, so every result in the normal range is the fpu's word.  The cast flags
+double op, then a store into a float32 view of the backend's two words.  In
+the scope that C cast truncates; a product of two float32 values is exact in
+a double, and a sum truncated to 53 bits and then to 24 is the sum truncated
+to 24, so every result in the normal range is the fpu's word.  The cast flags
 nothing (an overflow gives max normal, a subnormal stays), so:
 
-* the scalar value ops test each double result as :func:`out_of_range`
-  would, and send one outside the range to ``fpu_*``.  They cast only while
-  their own backend's scope is open, a flag the backend sets and restores;
-  outside it every op goes to ``fpu_*``, so none can return a round-to-nearest
-  word.  Each caller opens the scope around its op loop and encodes its
-  constants before, since ``encode`` truncates inside it too.
+* the scalar value ops, and the word methods on a two-word view of their
+  operands' values, test each double result as :func:`out_of_range` would,
+  and send one outside the range to ``fpu_*``.  They cast only while their
+  own backend's scope is open, a flag the backend sets and restores, so none
+  can return a round-to-nearest word.  Each caller opens the scope around
+  its op loop and encodes its constants before: ``encode`` truncates in it.
 * scalar recursions, in which each sample needs the one before, run in the
   scope in one of two forms.  A chain of sums (the running means) is one
   ``np.add.accumulate`` in ``block_dtype`` (:meth:`_Backend.sum_chain`),
   which adds strictly in sequence.  The filters' output feedback runs as
-  loops of bare casts, ``STREAM_BLOCK`` samples at a time
-  (:meth:`_Backend.recur`), each op then rebuilt in bulk from the outputs.
-  Every result is checked with :func:`out_of_range`; a chain or block with
-  any outside the range, and every one without the scope, is redone on the
-  value ops from its starting state.
+  typed unrolled loops on ``np.float32`` scalars, whose arithmetic is the
+  cast, ``STREAM_BLOCK`` samples at a time (:meth:`_Backend.recur`), each op
+  then rebuilt in bulk from the outputs.  Every result is checked with
+  :func:`out_of_range`; a chain or block with any outside the range, and
+  every one without the scope, is redone on the value ops from its start.
 
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
@@ -80,9 +80,17 @@ VALID_CMP_MODES = ("corrected", "verbatim")  # fpu_cmp's modes
 # Sign-and-exponent fields (word >> 23) of the nonzero normal 32-bit words;
 # only those operands take the value path in the soft word methods.
 _NORMAL_FIELDS = frozenset(h for h in range(512) if 0 < h & 0xFF < 255)
+_ZEROS = (0, 0x80000000)
+
+
+def _keyed(a: int, b: int) -> bool:
+    """Whether two words are each normal or a zero, which corrected soft comparisons order
+    by keys w, or 0x7FFFFFFF - w if negative: fpu_cmp's order, -0 just below +0."""
+    return (a >> 23 in _NORMAL_FIELDS or a in _ZEROS) and (b >> 23 in _NORMAL_FIELDS or b in _ZEROS)
+
 
 # Samples per block of a stage-major pass (PreprocessChain.process) and of a
-# scalar recursion's cast loop.  Numpy temporaries of this size (32 KiB) are
+# scalar recursion's typed loop.  Numpy temporaries of this size (32 KiB) are
 # reused block after block; whole-channel ones fragment the heap and raise
 # peak RSS by about 1 MB.
 STREAM_BLOCK = 4096
@@ -205,27 +213,26 @@ class _Backend:
         """``stage``'s scalar recursion over the array ``values``.
 
         Returns the outputs and the state after the last sample.  The stage
-        runs one block from ``state`` as ``value_loop(state, block)`` on the
-        value ops or as ``cast_loop(state, block)`` on float32 casts, each
-        returning its outputs (an ``array("d")``) and end state; and
-        ``replay(state, outputs, block)`` yields every op of the cast loop
-        as ``(ufunc, a, b)``, rebuilt in bulk from its outputs.  Only a
-        backend with a ``block_range`` runs the cast loop.
+        runs one block from ``state`` as ``typed_loop(state, block)`` on this
+        backend's ``scalars`` or as ``value_loop(state, block)`` on the value
+        ops, each returning its outputs (an ``array``) and end state; and
+        ``replay(state, outputs, block)`` yields every op of the typed loop
+        as ``(ufunc, a, b)``, rebuilt in bulk from its outputs.  Without a
+        ``block_range`` the typed loop is the value ops and is not checked.
         """
         outputs = np.empty(len(values))
         for start in range(0, len(values), STREAM_BLOCK):
-            out, state = self._recur_block(stage, state, values[start : start + STREAM_BLOCK])
-            outputs[start : start + len(out)] = np.frombuffer(out)
+            block = values[start : start + STREAM_BLOCK]
+            with self.rounding_scope() as available, np.errstate(all="ignore"):
+                if available:
+                    out, end = stage.typed_loop(state, block)
+                if not available or self.block_range and any_out_of_range(
+                    stage.replay(state, np.asarray(out), block), *self.block_range
+                ):
+                    out, end = stage.value_loop(state, block)
+            outputs[start : start + len(out)] = np.asarray(out)
+            state = end
         return outputs, state
-
-    def _recur_block(self, stage, state, block):
-        with self.rounding_scope() as available, np.errstate(all="ignore"):
-            if available and self.block_range is not None:
-                out, end = stage.cast_loop(state, block)
-                replay = stage.replay(state, np.frombuffer(out), block)
-                if not any_out_of_range(replay, *self.block_range):
-                    return out, end
-            return stage.value_loop(state, block)
 
     def sum_chain(self, start: float, terms: np.ndarray) -> np.ndarray:
         """The sums ``start + terms[0]``, ``+ terms[1]`` and so on, as ``vadd`` gives each."""
@@ -263,9 +270,8 @@ class SoftF32Backend(_Backend):
         self.zero = fpu.ZERO_POS
         self._depth = 0  # rounding scopes open, nested
         self._scoped = False  # whether they truncate
-        self._slot = array("f", [0.0])  # the value ops' float32 cast
         # Two words, also viewed as the two float32 values they hold: operands
-        # cross between words and values here, one op at a time.
+        # cross between words and values here, and a store into a value casts.
         self._words = array("I", [0, 0])
         self._values = memoryview(self._words).cast("B").cast("f")
 
@@ -310,56 +316,57 @@ class SoftF32Backend(_Backend):
             setter, previous = self._restore
             setter(previous)
 
-    # -- word methods: adapters over the value ops ------------------------
+    # -- word methods: the value ops on the two-word view ------------------
 
     def add(self, a: int, b: int) -> int:
         self.ops["add"] += 1
-        if a >> 23 in _NORMAL_FIELDS and b >> 23 in _NORMAL_FIELDS:
-            return self._word_op(self.vadd, a, b)
-        return fpu.fpu_add(a, b, self.flags)
+        return self._on_values(operator.add, fpu.fpu_add, a, b)
 
     def sub(self, a: int, b: int) -> int:
         self.ops["sub"] += 1
-        if a >> 23 in _NORMAL_FIELDS and b >> 23 in _NORMAL_FIELDS:
-            return self._word_op(self.vsub, a, b)
-        return fpu.fpu_sub(a, b, self.flags)
+        return self._on_values(operator.sub, fpu.fpu_sub, a, b)
 
     def mul(self, a: int, b: int) -> int:
         self.ops["mul"] += 1
-        if a >> 23 in _NORMAL_FIELDS and b >> 23 in _NORMAL_FIELDS:
-            return self._word_op(self.vmul, a, b)
-        return fpu.fpu_mul(a, b, self.flags)
+        return self._on_values(operator.mul, fpu.fpu_mul, a, b)
 
-    def _word_op(self, op, a: int, b: int) -> int:
-        """A value op on two 32-bit words, returning the result's word."""
-        words, values = self._words, self._values
-        words[0] = a
-        words[1] = b
-        values[0] = op(values[0], values[1])
-        return words[0]
+    def _on_values(self, op, oracle, a: int, b: int) -> int:
+        """``op`` on two words' values as ``vadd`` runs it, else ``oracle`` on the words."""
+        if self._scoped and a >> 23 in _NORMAL_FIELDS and b >> 23 in _NORMAL_FIELDS:
+            words, values = self._words, self._values
+            words[0], words[1] = a, b
+            r = op(values[0], values[1])
+            if _MIN_NORMAL <= r < _RANGE_END or _MIN_NORMAL <= -r < _RANGE_END or r == 0.0:
+                values[0] = r
+                return words[0]
+        return oracle(a, b, self.flags)
 
     def gt(self, a: int, b: int) -> bool:
         self.ops["gt"] += 1
+        if self.cmp_mode == "corrected" and _keyed(a, b):
+            return (0x7FFFFFFF - a if a >> 31 else a) > (0x7FFFFFFF - b if b >> 31 else b)
         return fpu.fpu_cmp(a, b, self.cmp_mode) is CmpCode.GREATER
 
     def lt(self, a: int, b: int) -> bool:
         self.ops["lt"] += 1
+        if self.cmp_mode == "corrected" and _keyed(a, b):
+            return (0x7FFFFFFF - a if a >> 31 else a) < (0x7FFFFFFF - b if b >> 31 else b)
         return fpu.fpu_cmp(a, b, self.cmp_mode) is CmpCode.LESS
 
     # -- scalar value ops ---------------------------------------------------
 
-    # vadd and vmul run once per op of detection and of the exact paths.
-    # They compare floats with floats, which CPython's float-compare fast
-    # path needs, and test -s instead of calling abs.
+    # vadd and vmul run once per op of the exact paths.  They compare floats
+    # with floats, which CPython's float-compare fast path needs, and test -s
+    # instead of calling abs.
 
     def vadd(self, a: float, b: float) -> float:
         """``fpu_add`` on float32 values."""
         if self._scoped:
             s = a + b  # the exact sum truncated to 53 bits
             if _MIN_NORMAL <= s < _RANGE_END or _MIN_NORMAL <= -s < _RANGE_END or s == 0.0:
-                slot = self._slot
-                slot[0] = s  # and to 24
-                return slot[0]
+                values = self._values
+                values[0] = s  # and to 24
+                return values[0]
         return self._oracle(fpu.fpu_add, a, b)
 
     def vsub(self, a: float, b: float) -> float:
@@ -371,9 +378,9 @@ class SoftF32Backend(_Backend):
         if self._scoped:
             p = a * b  # exact: 24 x 24 mantissa bits fit in 53
             if _MIN_NORMAL <= p < _RANGE_END or _MIN_NORMAL <= -p < _RANGE_END or p == 0.0:
-                slot = self._slot
-                slot[0] = p
-                return slot[0]
+                values = self._values
+                values[0] = p
+                return values[0]
         return self._oracle(fpu.fpu_mul, a, b)
 
     def _oracle(self, op, a: float, b: float) -> float:
@@ -405,6 +412,11 @@ class SoftF32Backend(_Backend):
         if len(bad):
             fpu._check_operand(int(w[bad[0]]))  # raises its OperandError
         return w.view(np.float32).astype(np.float64)
+
+    @staticmethod
+    def scalars(values) -> np.ndarray:
+        """Values whose items are ``np.float32``: no Python float, which NumPy 1.x widens."""
+        return np.asarray(values, dtype=np.float32)
 
     @staticmethod
     def to_words(values) -> list:
@@ -468,6 +480,11 @@ class Float64Backend(_Backend):
     @staticmethod
     def to_words(values) -> list:
         return np.asarray(values, dtype=np.float64).tolist()
+
+    @staticmethod
+    def scalars(values) -> memoryview:
+        """Values that iterate as Python floats, whose arithmetic is the value ops."""
+        return memoryview(np.asarray(values, dtype=np.float64))
 
 
 def make_backend(name: str, cmp_mode: str = "corrected"):

@@ -156,10 +156,7 @@ class RunReport:
     generated_at: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @property
     def ok(self) -> bool:
@@ -353,6 +350,9 @@ def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
         failures.append(f"fhr: {exc}")
     metrics = score_against_annotations(rec, peaks, scoring_start, rec.fs)
     conv_cycles = art.stats.cycles_per_sample * conv
+    conv_ms = conv_cycles / cfg.clock_hz * 1000.0
+    if not math.isfinite(conv_ms):  # a clock so slow the time overflows
+        failures.append(f"convergence time at clock_hz {cfg.clock_hz!r} is not finite")
 
     return RunReport(
         config=cfg.to_dict(),
@@ -364,7 +364,7 @@ def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
         metrics=metrics.to_dict() if metrics else None,
         cycle_stats={art.arch: art.stats.to_dict()},
         convergence_cycles={art.arch: conv_cycles},
-        convergence_time_ms={art.arch: conv_cycles / cfg.clock_hz * 1000.0},
+        convergence_time_ms={art.arch: conv_ms if math.isfinite(conv_ms) else None},
         scale_factors={"thoracic": art.front_end.scale_x, "abdominal": art.front_end.scale_d},
         threshold={"m1": art.detection["m1"], "th": art.detection["th"]},
         warnings=warnings,
@@ -386,7 +386,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         report = build_report(cfg, art)
     if cfg.out_dir:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        report.write(Path(cfg.out_dir) / "report.json")
+        (Path(cfg.out_dir) / "report.json").write_text(report.to_json(), encoding="utf-8")
     return report
 
 
@@ -476,17 +476,20 @@ def baseline_comparison(cfg: RunConfig) -> dict:
     The single-mean baseline accepts every enhanced-signal maximum above m1
     with no second threshold and no minimum-gap arbitration.  Like a comparison
     it writes no files, so a configured ``out_dir`` or ``trace`` is a
-    :class:`ConfigError`.
+    :class:`ConfigError`.  A :class:`PipelineError` leaves both rows None, named in ``failures``.
     """
     _reject_file_outputs(cfg, "baseline")
     rec = load_input(cfg)
     if not rec.annotations or "fetal" not in rec.annotations:
         raise ConfigError("baseline comparison requires fetal annotations")
     arch = cfg.arch if cfg.arch != "both" else "parallel"
-    art = execute(cfg.replaced(arch=arch), arch, rec)
+    try:
+        art = execute(cfg.replaced(arch=arch), arch, rec)
+    except PipelineError as exc:
+        return {"proposed": None, "single_mean": None, "threshold": {}, "failures": [str(exc)]}
     scoring_start = art.convergence_index + SCORING_GUARD_SAMPLES
 
-    out = {}
+    out = {"failures": []}
     for name, key in (("proposed", "peaks_absolute"), ("single_mean", "maxima_absolute")):
         metrics = score_against_annotations(rec, art.detection[key], scoring_start, rec.fs)
         out[name] = metrics.to_dict() if metrics else None

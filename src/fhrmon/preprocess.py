@@ -22,12 +22,12 @@ Each stage's ``run`` consumes a whole stream of values and leaves its state
 ready for the next call.  :meth:`PreprocessChain.process` runs stage-major
 over blocks of the channel: each stage's feed-forward terms as bulk ops over
 the block, then its recursion, then the next stage.  A filter's recursion is
-a scalar loop, on the soft backend of float32 casts under round-toward-zero;
-a running mean's is one accumulate of its running total.  A bulk check then
-finds any result outside the normal range; a block that has one, or any
-block where the rounding mode cannot be set, reruns on the value ops (see
-:mod:`fhrmon.numeric`).  Every stage holds its constants and state as
-float32 values, and the chain returns values.
+a scalar loop unrolled for its order, on the soft backend over float32
+scalars under round-toward-zero; a running mean's is one accumulate of its
+running total.  A bulk check then finds any result outside the normal range;
+a block that has one, or any block where the rounding mode cannot be set,
+reruns on the value ops (see :mod:`fhrmon.numeric`).  Every stage holds its
+constants and state as float32 values, and the chain returns values.
 """
 
 from __future__ import annotations
@@ -50,6 +50,28 @@ NOTCH_OUTPUT_COEFFS = (1.31272, -0.98804)
 BASELINE_WINDOW = 200  # samples per moving-average stage
 
 
+def _feedback2(acc, c, y, append):
+    """Order-2 feedback of ``acc`` into ``append``; taps ``c``, ``y`` and result newest first."""
+    (c1, c2), (y1, y2) = c, y
+    for a in acc:
+        y2, y1 = y1, a + c1 * y1 + c2 * y2
+        append(y1)
+    return y1, y2
+
+
+def _feedback4(acc, c, y, append):
+    """Order-4 output feedback, as :func:`_feedback2`."""
+    (c1, c2, c3, c4), (y1, y2, y3, y4) = c, y
+    for a in acc:
+        y4, y3, y2, y1 = y3, y2, y1, a + c1 * y1 + c2 * y2 + c3 * y3 + c4 * y4
+        append(y1)
+    return y1, y2, y3, y4
+
+
+# Unrolled per order: a loop over the taps costs about as much as the value ops.
+_FEEDBACK = {2: _feedback2, 4: _feedback4}
+
+
 class IirFilter:
     """Difference-equation filter with input and output delay lines.
 
@@ -57,6 +79,8 @@ class IirFilter:
     """
 
     def __init__(self, input_coeffs, output_coeffs, backend):
+        if (order := len(output_coeffs)) not in _FEEDBACK:
+            raise ValueError(f"feedback order must be one of {sorted(_FEEDBACK)}, got {order}")
         self.backend = backend
         self.input_coeffs = [quantized(c) for c in input_coeffs]
         self.output_coeffs = [quantized(c) for c in output_coeffs]
@@ -86,35 +110,27 @@ class IirFilter:
         return out
 
     # -- one block of the recursion, in the forms _Backend.recur runs ---------
-    # Both loops extend the history, oldest first, with the block's outputs,
-    # so that past[j] (j = -1, -2, ...) is the output -j samples back.
 
-    def _delay_line(self, history: list):
-        """The history as that buffer, and each feedback coefficient with its j."""
-        n = self._n_out
-        return array("d", history[::-1]), list(zip(self.output_coeffs, range(-1, -n - 1, -1)))
+    def typed_loop(self, history: list, acc):
+        """The unrolled loop on the backend's ``scalars``, outputs in ``block_dtype``."""
+        bk = self.backend
+        out = array(np.dtype(bk.block_dtype).char)
+        loop = _FEEDBACK[self._n_out]
+        end = loop(bk.scalars(acc), bk.scalars(self.output_coeffs), bk.scalars(history), out.append)
+        return out, [float(y) for y in end]
 
     def value_loop(self, history: list, acc):
+        """The recursion on the value ops: the exact path."""
         vadd, vmul = self.backend.vadd, self.backend.vmul
-        past, taps = self._delay_line(history)
+        n = self._n_out
+        past = array("d", history[::-1])  # then each output: past[-j] is output j back
+        taps = list(zip(self.output_coeffs, range(-1, -n - 1, -1)))
         append = past.append
         for a in memoryview(acc):
             for coeff, j in taps:
                 a = vadd(a, vmul(coeff, past[j]))
             append(a)
-        return past[self._n_out :], past[: -self._n_out - 1 : -1].tolist()
-
-    def cast_loop(self, history: list, acc):
-        slot = array("f", [0.0])
-        past, taps = self._delay_line(history)
-        append = past.append
-        for a in memoryview(acc):
-            for coeff, j in taps:
-                slot[0] = coeff * past[j]
-                slot[0] = a + slot[0]
-                a = slot[0]
-            append(a)
-        return past[self._n_out :], past[: -self._n_out - 1 : -1].tolist()
+        return past[n:], past[: -n - 1 : -1].tolist()
 
     def replay(self, history: list, out, acc):
         n = self._n_out

@@ -5,7 +5,7 @@ segments, each scaled by its own power of two: ordinary magnitudes, ones
 near 2^127 that saturate, and ones near or below 2^-126 that flush.  On every
 record ``pipeline.execute`` must give the reference's error words, flag
 totals, first flagged sample, meter counts, enhanced signal, threshold and
-peaks, whichever path (cast loop, sum chain accumulate, block kernel or their
+peaks, whichever path (typed loop, sum chain accumulate, block kernel or their
 exact reruns) each block took.
 """
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from fhrmon import fhr, lms, numeric
 from fhrmon.fpu import (
-    FRAC_MASK, MAX_NORMAL_MAG, FpuFlags, OperandError, decode, fpu_add, fpu_mul, fpu_sub, join
+    FRAC_MASK, MAX_NORMAL_MAG, CmpCode, FpuFlags, OperandError, decode, fpu_add, fpu_cmp, fpu_mul,
+    fpu_sub, join
 )
 from fhrmon.io import SynthSpec, generate_synthetic
 from fhrmon.numeric import SoftF32Backend, make_backend
@@ -375,6 +376,31 @@ def test_every_form_matches_fpu_on_normal_words(a, b):
         out = getattr(bulk, f"bulk_{name}")(bulk.to_values([a]), bulk.to_values([b]))
         assert bulk.to_words(out) == [want]
         assert words.flags == values.flags == bulk.flags == ref_flags
+
+
+# Arbitrary words, weighted toward the cases a comparator orders specially:
+# signed zeros, negatives, and the inf/NaN/subnormal operands fpu_cmp refuses.
+_ANY_WORDS = st.one_of(
+    st.integers(0, 0xFFFFFFFF),
+    _NORMAL_WORDS,
+    _NORMAL_WORDS.map(lambda w: w | SIGN),
+    st.sampled_from([0, SIGN, join(0, 255, 0), join(1, 255, 0), join(0, 255, 1), join(1, 0, 1)]),
+)
+_WORD_PAIRS = st.one_of(st.tuples(_ANY_WORDS, _ANY_WORDS), _ANY_WORDS.map(lambda w: (w, w)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_WORD_PAIRS)
+def test_comparisons_match_fpu_cmp_on_any_words(pair):
+    """``gt``/``lt`` in both comparator modes: fpu_cmp's answer or its OperandError, one op each."""
+    a, b = pair
+    for mode in numeric.VALID_CMP_MODES:
+        backend = SoftF32Backend(mode)
+        want = _outcome(fpu_cmp, a, b, mode)
+        for name, code in (("gt", CmpCode.GREATER), ("lt", CmpCode.LESS)):
+            got = _outcome(getattr(backend, name), a, b)
+            assert got == (want if isinstance(want, str) else want is code), f"{mode} {name}"
+        assert backend.ops == {**dict.fromkeys(numeric.OP_NAMES, 0), "gt": 1, "lt": 1}
 
 
 def trace_paths(owner, names, monkeypatch) -> list:

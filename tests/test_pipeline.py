@@ -383,7 +383,8 @@ class TestBaselineComparison:
         )  # fmt: skip
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"proposed", "single_mean", "threshold"}
+        assert set(out) == {"proposed", "single_mean", "threshold", "failures"}
+        assert out["failures"] == []
         assert out == baseline_comparison(fast_config())
 
     def test_requires_fetal_annotations(self, tmp_path):
@@ -842,6 +843,39 @@ class TestCli:
             assert payload[arch]["failures"] == run_report["failures"]
             assert payload[arch]["config"]["arch"] == arch
             assert payload[arch]["convergence_index"] == 5000
+
+    def test_baseline_past_the_marker_prints_payload_and_exits_1(self, tmp_path, capsys):
+        # the failure a run reports, with both rows empty
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SynthSpec(duration_s=3.0, seed=21).to_dict()))
+        argv = ["--synth", str(spec_path), "--convergence-index", "5000"]
+        assert cli_main(["baseline", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload == {
+            "proposed": None,
+            "single_mean": None,
+            "threshold": {},
+            "failures": ["no samples after the convergence marker"],
+        }
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_overflowing_convergence_time_is_a_named_failure(self, command, tmp_path, capsys):
+        # 2000 cycles at 1e-320 Hz overflow a double: null, not Infinity, and exit 1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SynthSpec(duration_s=3.0, seed=21).to_dict()))
+        argv = [command, "--synth", str(spec_path), "--backend", "float64", "--clock-hz", "1e-320"]
+        assert cli_main(argv) == 1
+
+        def refuse(name):
+            raise AssertionError(f"non-JSON constant {name} printed")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        reports = [payload] if command == "run" else [payload["series"], payload["parallel"]]
+        for report in reports:
+            assert list(report["convergence_time_ms"].values()) == [None]
+            assert "convergence time at clock_hz 1e-320 is not finite" in report["failures"]
 
     @pytest.mark.parametrize("arch", ["series", "parallel"])
     def test_compare_rejects_single_arch_flag(self, arch, tmp_path, capsys):

@@ -260,6 +260,12 @@ class TestIirFilterGeneric:
         nt = make_notch(bk)
         assert len(nt.input_history) == 2 and len(nt.output_history) == 2
 
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_refuses_a_feedback_order_without_a_loop(self, backend):
+        # only orders 2 (notch) and 4 (low-pass) have an unrolled loop
+        with pytest.raises(ValueError, match=r"feedback order must be one of \[2, 4\], got 3"):
+            IirFilter((1.0,), (0.5, -0.25, 0.125), make_backend(backend))
+
     def test_soft_reference_agreement_short(self):
         # input quantization plus truncation noise, amplified by the
         # recursive feedback, stays a few parts in 10^5 over short runs
@@ -385,12 +391,12 @@ def _reference_run(make, values, kind):
 def _trace_paths(stage, monkeypatch) -> list:
     """Record, in order, each block's paths: ``"fast"``, then ``"exact"`` if it reran.
 
-    A filter's are its cast loop and value loop; a running mean's, its
+    A filter's are its typed loop and value loop; a running mean's, its
     backend's sum chain accumulate and ``vadd`` chain.
     """
     if isinstance(stage, RunningMean):
         return trace_paths(stage.backend, SUM_CHAIN_PATHS, monkeypatch)
-    return trace_paths(stage, ("cast_loop", "value_loop"), monkeypatch)
+    return trace_paths(stage, ("typed_loop", "value_loop"), monkeypatch)
 
 
 def _soft_paths(n_blocks: int, rejected) -> list:
@@ -400,8 +406,8 @@ def _soft_paths(n_blocks: int, rejected) -> list:
 class TestCastRecursion:
     """``IirFilter.run`` and ``RunningMean.run`` against their reference stages.
 
-    On the soft backend each block of a filter's recursion runs as float32
-    casts under round-toward-zero, and each call of a running mean as one
+    On the soft backend each block of a filter's recursion runs as an
+    unrolled loop on float32 scalars under round-toward-zero, and each call of a running mean as one
     sum chain accumulate; a block or chain with any op out of range reruns on
     the value ops.  Words, flags, meter readings and state must equal the
     reference's.
@@ -484,8 +490,8 @@ class TestCastRecursion:
         make = RECURSIONS[name]
         paths, flagged, blocks, n_blocks = self.run_and_step(make, x, backend, monkeypatch, want)
         if backend == "float64":
-            # a filter's loop runs on the value ops; a running mean's accumulate is them
-            assert paths == ["fast" if name == "mean" else "exact"] * n_blocks
+            # a filter's typed loop and a running mean's accumulate are the value ops
+            assert paths == ["fast"] * n_blocks
         elif case in ("saturating", "flushing"):
             # some flags come from the feed-forward bulk ops: at least one block reruns
             assert flagged and "exact" in paths and paths.count("fast") == n_blocks
@@ -550,7 +556,7 @@ class TestCastRecursion:
 
 
 class TestRecursionRoundingScope:
-    """The cast loops and the sum chain accumulate run only inside the round-toward-zero scope."""
+    """The typed loops and the sum chain accumulate run only inside the round-toward-zero scope."""
 
     @staticmethod
     def process(n=STREAM_BLOCK + 100):
@@ -564,7 +570,7 @@ class TestRecursionRoundingScope:
 
     @pytest.mark.parametrize(
         "owner, fast_path",
-        [(IirFilter, "cast_loop"), (numeric.SoftF32Backend, "_accumulated")],
+        [(IirFilter, "typed_loop"), (numeric.SoftF32Backend, "_accumulated")],
         ids=["IirFilter", "RunningMean"],  # a running mean's fast path is its backend's
     )
     def test_round_to_nearest_after_operand_error_in_a_block(self, owner, fast_path, monkeypatch):
