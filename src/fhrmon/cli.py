@@ -36,7 +36,6 @@ from .pipeline import (
     VALID_BACKENDS,
     VALID_CMP_MODES,
     ConfigError,
-    PipelineError,
     RunConfig,
     baseline_comparison,
     compare_architectures,
@@ -230,9 +229,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, RecordingError, OSError, fpu.OperandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PipelineError as exc:
-        print(f"pipeline failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

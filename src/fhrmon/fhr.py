@@ -2,9 +2,9 @@
 
 The detector runs in two passes over an extracted-FECG stream:
 
-* Pass 1 (:class:`PeakEnhancer`): differentiate, square, slide a mean filter
-  of length ``P`` over the squared differences, and accumulate the global
-  mean ``m1`` of the enhanced signal ``sdm``.
+* Pass 1 (:func:`enhance`, after Pan & Tompkins): differentiate, square,
+  slide a mean filter of length ``P`` over the squared differences, and
+  accumulate the global mean ``m1`` of the enhanced signal ``sdm``.
 * Pass 2 (:func:`find_local_maxima` + :func:`select_fetal_peaks`): collect
   the local maxima of ``sdm`` that rise above ``m1``, average them into
   ``m2``, set the detection threshold at ``th = (m1 + m2) / 2``, then keep
@@ -12,7 +12,9 @@ The detector runs in two passes over an extracted-FECG stream:
   peak gap in favor of the larger one.
 
 The two-pass split exists because ``m1``/``m2`` are normalized by the stream
-length, which is only known once the stream ends.  Heart rate follows from
+length, which is only known once the stream ends.  Both passes run on the
+backend's word methods, each loop of adds and multiplies in one rounding
+scope (see :mod:`fhrmon.numeric`).  Heart rate follows from
 the mean gap between accepted peaks.  Scoring against fetal/maternal
 annotations uses greedy one-to-one matching inside a +/-50 ms window.
 """
@@ -104,45 +106,33 @@ class Metrics:
         }
 
 
-class PeakEnhancer:
-    """Differentiate-square-mean peak enhancement with running ``m1``.
-
-    ``n_total`` (the stream length) must be known up front because every
-    ``sdm`` sample contributes ``sdm / n_total`` to the global mean ``m1``,
-    which equals the mean of ``sdm`` once all ``n_total`` samples are in.
-    """
-
-    def __init__(self, backend, n_total: int, window: int = ENHANCE_WINDOW):
-        if n_total < 1 or window < 1:
-            raise ValueError("stream length and window must be positive")
-        self.backend = backend
-        self._inv_p = backend.encode(quantized(1.0 / window))
-        self._inv_n = backend.encode(quantized(1.0 / n_total))
-        # The mean filter: squared differences scaled by 1/P in a zero-filled
-        # ring, and their running total, sdm.
-        self._ring = deque([backend.zero] * window, maxlen=window)
-        self._sdm = backend.zero
-        self._prev = backend.zero
-        self.m1 = backend.zero
-
-    def step(self, sample):
-        """Consume one sample, return the current enhanced value ``sdm``."""
-        bk = self.backend
-        diff = bk.sub(sample, self._prev)
-        self._prev = sample
-        scaled = bk.mul(bk.mul(diff, diff), self._inv_p)
-        self._sdm = sdm = bk.sub(bk.add(self._sdm, scaled), self._ring[0])
-        self._ring.append(scaled)  # full ring: drops ring[0]
-        self.m1 = bk.add(self.m1, bk.mul(sdm, self._inv_n))
-        return sdm
-
-
 def enhance(backend, samples) -> tuple[list, object]:
-    """Run the enhancement pass; returns the sdm sequence and final m1."""
-    enh = PeakEnhancer(backend, n_total=len(samples))  # encodes 1/n outside the scope
-    with backend.rounding_scope():
-        sdm = [enh.step(s) for s in samples]
-    return sdm, enh.m1
+    """Differentiate, square and mean-filter a stream; returns ``sdm`` and ``m1``.
+
+    Each squared difference, scaled by 1/P, enters a zero-filled ring of P,
+    and ``sdm`` is their running total.  Every ``sdm`` sample adds
+    ``sdm / n`` to ``m1``, so ``m1`` is the mean of ``sdm`` once all ``n``
+    samples are in: the stream length must be known up front.
+    """
+    if not len(samples):
+        raise ValueError("enhancement needs a non-empty stream")
+    bk = backend
+    sub, add, mul = bk.sub, bk.add, bk.mul
+    ring = deque([bk.zero] * ENHANCE_WINDOW, maxlen=ENHANCE_WINDOW)
+    prev = total = m1 = bk.zero
+    sdm = []
+    with bk.rounding_scope():
+        inv_p = bk.encode(quantized(1.0 / ENHANCE_WINDOW))
+        inv_n = bk.encode(quantized(1.0 / len(samples)))
+        for sample in samples:
+            diff = sub(sample, prev)
+            prev = sample
+            scaled = mul(mul(diff, diff), inv_p)
+            total = sub(add(total, scaled), ring[0])
+            ring.append(scaled)  # full ring: drops ring[0]
+            m1 = add(m1, mul(total, inv_n))
+            sdm.append(total)
+    return sdm, m1
 
 
 def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object]:
@@ -178,8 +168,8 @@ def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object]:
     if not locations:
         return PeakSet(), bk.mul(m1, half)
 
-    inv_count = bk.encode(quantized(1.0 / len(locations)))  # outside the scope
     with bk.rounding_scope():
+        inv_count = bk.encode(quantized(1.0 / len(locations)))
         acc = bk.zero
         for loc in locations:
             acc = bk.add(acc, sdm_seq[loc])

@@ -16,6 +16,7 @@ owned by the caller, so concurrent streams simply use separate accumulators.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -85,14 +86,21 @@ def join(sign: int, exponent: int, fraction: int) -> int:
 
 
 def encode(value: float) -> int:
-    """Quantize a Python float to a word (round-to-nearest, ingest only)."""
-    word = struct.unpack("<I", struct.pack("<f", value))[0]
-    e = (word >> 23) & 0xFF
-    if e == 0:
-        return word & SIGN_MASK  # flush subnormals at ingest
-    if e == 0xFF:
+    """Quantize a Python float to a word (round-to-nearest-even, ingest only).
+
+    Rounded on integers, so under any C rounding mode; subnormals flush.
+    """
+    if not math.isfinite(value):
         raise ValueError(f"value not representable as a normal float32: {value!r}")
-    return word
+    m, e = math.frexp(abs(value))  # |value| = m * 2**e, 0.5 <= m < 1
+    kept = min(24, e + 149)  # mantissa bits of the float32 quantum at this magnitude
+    # round() rounds half to even, exactly; the mantissa's leading 1, and a
+    # carry out of it, add to the exponent field below
+    word = ((e - kept + 149) << 23) + round(math.ldexp(m, kept))
+    if word >= EXP_MASK:
+        raise OverflowError("float too large to pack with f format")
+    word = word if word >= IMPLICIT_BIT and value else 0  # flush subnormals at ingest
+    return word | SIGN_MASK if math.copysign(1.0, value) < 0 else word
 
 
 def decode(word: int) -> float:

@@ -247,7 +247,8 @@ def load_recording(
     ``channel_map`` maps roles (e.g. ``thoracic``) to file channel names and
     is validated so missing columns fail here rather than mid-pipeline.  CSV
     samples are rescaled from int16 to [-1, 1) when the leading values are
-    all integral and exceed the unit range.
+    all integral and exceed the unit range.  A raw file's header sets its
+    rate; an ``fs`` given with one must equal it.
     """
     path = Path(path)
     if format == "csv":
@@ -257,6 +258,8 @@ def load_recording(
             rec.channels = {k: v / INT16_FULL_SCALE for k, v in rec.channels.items()}
     elif format == "raw":
         rec = _load_raw(path)
+        if fs is not None and fs != rec.fs:
+            raise RecordingError(f"{path}: fs {fs:g} Hz given, but the header says {rec.fs:g} Hz")
     else:
         raise RecordingError(f"unknown recording format: {format!r}")
 

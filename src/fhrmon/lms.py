@@ -11,7 +11,8 @@ factors ``s_x`` and ``s_d``:
 The modelled datapath issues 5m + 3 ops per sample (2m adds, one subtract,
 3m + 2 multiplies), scaling every tap of the window afresh.
 :meth:`LmsState.update` is that step on values, op for op, and the exact
-path the block kernel falls back to.
+path the block kernel falls back to; its caller opens the rounding scope
+around the loop of steps, as for every other exact loop.
 :func:`run_canceller` runs whole channels of values through a block kernel:
 each sample's taps as numpy vectors (the software form of the parallel
 datapath), on the soft backend in float32 under round-toward-zero, which is
@@ -136,18 +137,18 @@ class LmsState:
 
         Scales every tap of the window afresh, as the datapath does, so each
         scaling raises its flags on every sample its tap is in the window.
-        The ops run in the backend's rounding scope.  The caller meters the
-        5m + 3 ops of the step (``ops_per_step``).
+        The caller opens the backend's rounding scope around its loop of
+        steps (outside it every soft op goes to ``fpu_*``: the same words,
+        slower) and meters the 5m + 3 ops of the step (``ops_per_step``).
         """
         bk = self.backend
         mul, add = bk.vmul, bk.vadd
         self.window_values.appendleft(x)
-        with bk.rounding_scope():
-            sx = [mul(tap, self.input_scale) for tap in self.window_values]
-            y = reduce(add, map(mul, sx, self.weight_values), 0.0)
-            e = bk.vsub(mul(d, self.desired_scale), y)
-            be = mul(self.beta, e)
-            self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
+        sx = [mul(tap, self.input_scale) for tap in self.window_values]
+        y = reduce(add, map(mul, sx, self.weight_values), 0.0)
+        e = bk.vsub(mul(d, self.desired_scale), y)
+        be = mul(self.beta, e)
+        self.weight_values = list(map(add, self.weight_values, map(mul, repeat(be), sx)))
         return e
 
 
@@ -207,11 +208,12 @@ def run_canceller(datapath, x_values, d_values):
 
     The channels and the errors are numpy arrays of values.  Each ``BLOCK``
     samples run through :class:`_BlockKernel`; a block it rejects runs
-    through :meth:`LmsState.update` from the same state instead, so every
-    flag is raised on the exact path.  ``first_flag_index`` is the first
-    sample whose step raised a saturation/flush flag, or None.  The backend's
-    flag totals at entry are the reference, so flags raised by earlier stages
-    sharing the backend are not blamed on the canceller.
+    through :meth:`LmsState.update` from the same state instead, in one
+    rounding scope, so every flag is raised on the exact path.
+    ``first_flag_index`` is the first sample whose step raised a
+    saturation/flush flag, or None.  The backend's flag totals at entry are
+    the reference, so flags raised by earlier stages sharing the backend are
+    not blamed on the canceller.
     """
     state = datapath.state
     bk = state.backend
@@ -226,10 +228,11 @@ def run_canceller(datapath, x_values, d_values):
             out = errors[start : start + BLOCK]
             if kernel.run(x, d, out):
                 continue
-            for i, xi, di in zip(range(len(out)), x.tolist(), d.tolist()):
-                out[i] = state.update(xi, di)
-                if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
-                    first_flag = start + i
+            with bk.rounding_scope():
+                for i, xi, di in zip(range(len(out)), x.tolist(), d.tolist()):
+                    out[i] = state.update(xi, di)
+                    if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
+                        first_flag = start + i
     bk.ops.tally(n, **state.ops_per_step)
     datapath.samples += n
     return errors, first_flag

@@ -42,17 +42,14 @@ nothing (an overflow gives max normal, a subnormal stays), so:
   operands' values, test each double result as :func:`out_of_range` would,
   and send one outside the range to ``fpu_*``.  They cast only while their
   own backend's scope is open, a flag the backend sets and restores, so none
-  can return a round-to-nearest word.  Each caller opens the scope around
-  its op loop and encodes its constants before: ``encode`` truncates in it.
-* scalar recursions, in which each sample needs the one before, run in the
-  scope in one of two forms.  A chain of sums (the running means) is one
-  ``np.add.accumulate`` in ``block_dtype`` (:meth:`_Backend.sum_chain`),
-  which adds strictly in sequence.  The filters' output feedback runs as
-  typed unrolled loops on ``np.float32`` scalars, whose arithmetic is the
-  cast, ``STREAM_BLOCK`` samples at a time (:meth:`_Backend.recur`), each op
-  then rebuilt in bulk from the outputs.  Every result is checked with
-  :func:`out_of_range`; a chain or block with any outside the range, and
-  every one without the scope, is redone on the value ops from its start.
+  can return a round-to-nearest word.  Each caller opens the scope once
+  around its op loop; ``encode`` rounds to nearest in it too.
+* a chain of sums, in which each sum needs the one before (the running
+  means), is one ``np.add.accumulate`` in ``block_dtype`` inside the scope
+  (:meth:`_Backend.sum_chain`), which adds strictly in sequence.  Every sum
+  is checked with :func:`out_of_range`; a chain with any outside the range,
+  and every chain without the scope, is redone on ``vadd``.  The filters'
+  feedback loops are their stage's own (:mod:`fhrmon.preprocess`).
 
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
@@ -66,7 +63,7 @@ from __future__ import annotations
 import operator
 import os
 from array import array
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import accumulate
 
 import numpy as np
@@ -88,12 +85,6 @@ def _keyed(a: int, b: int) -> bool:
     by keys w, or 0x7FFFFFFF - w if negative: fpu_cmp's order, -0 just below +0."""
     return (a >> 23 in _NORMAL_FIELDS or a in _ZEROS) and (b >> 23 in _NORMAL_FIELDS or b in _ZEROS)
 
-
-# Samples per block of a stage-major pass (PreprocessChain.process) and of a
-# scalar recursion's typed loop.  Numpy temporaries of this size (32 KiB) are
-# reused block after block; whole-channel ones fragment the heap and raise
-# peak RSS by about 1 MB.
-STREAM_BLOCK = 4096
 
 _MIN_NORMAL = 2.0**-126
 # Exclusive upper edge of the normal range: a result in [max normal, 2^128)
@@ -175,7 +166,7 @@ class OpMeter(dict):
 
 
 class _Backend:
-    """Bulk ops and scalar recursions for both backends."""
+    """Bulk ops and sum chains for both backends."""
 
     def bulk_add(self, a, b) -> np.ndarray:
         """``vadd`` elementwise; either operand may be a scalar."""
@@ -208,31 +199,6 @@ class _Backend:
             for i in bad:
                 out[i] = self._oracle(oracle, float(a[i]), float(b[i]))
         return out
-
-    def recur(self, stage, values, state):
-        """``stage``'s scalar recursion over the array ``values``.
-
-        Returns the outputs and the state after the last sample.  The stage
-        runs one block from ``state`` as ``typed_loop(state, block)`` on this
-        backend's ``scalars`` or as ``value_loop(state, block)`` on the value
-        ops, each returning its outputs (an ``array``) and end state; and
-        ``replay(state, outputs, block)`` yields every op of the typed loop
-        as ``(ufunc, a, b)``, rebuilt in bulk from its outputs.  Without a
-        ``block_range`` the typed loop is the value ops and is not checked.
-        """
-        outputs = np.empty(len(values))
-        for start in range(0, len(values), STREAM_BLOCK):
-            block = values[start : start + STREAM_BLOCK]
-            with self.rounding_scope() as available, np.errstate(all="ignore"):
-                if available:
-                    out, end = stage.typed_loop(state, block)
-                if not available or self.block_range and any_out_of_range(
-                    stage.replay(state, np.asarray(out), block), *self.block_range
-                ):
-                    out, end = stage.value_loop(state, block)
-            outputs[start : start + len(out)] = np.asarray(out)
-            state = end
-        return outputs, state
 
     def sum_chain(self, start: float, terms: np.ndarray) -> np.ndarray:
         """The sums ``start + terms[0]``, ``+ terms[1]`` and so on, as ``vadd`` gives each."""
@@ -268,8 +234,7 @@ class SoftF32Backend(_Backend):
         self.flags = FpuFlags()
         self.ops = OpMeter()
         self.zero = fpu.ZERO_POS
-        self._depth = 0  # rounding scopes open, nested
-        self._scoped = False  # whether they truncate
+        self._scoped = False  # whether a truncating rounding scope is open
         # Two words, also viewed as the two float32 values they hold: operands
         # cross between words and values here, and a store into a value casts.
         self._words = array("I", [0, 0])
@@ -281,6 +246,7 @@ class SoftF32Backend(_Backend):
     def decode(self, word: int) -> float:
         return fpu.decode(word)
 
+    @contextmanager
     def rounding_scope(self):
         """Float32 arithmetic truncates inside; entering gives whether it does.
 
@@ -288,32 +254,24 @@ class SoftF32Backend(_Backend):
         ``fesetround`` (loaded through ctypes on first use) and restored on
         exit.  Within ``block_range`` the results are the value ops' words;
         outside it, and for subnormal results, they are not, and the caller
-        must check.  Every double op made inside the scope truncates too, and
-        so does ``encode``.  The scalar value ops cast only while this
-        backend's scope is open; a scope opened inside it changes nothing.
-        The backend is its own context manager, cheaper than a generator's:
-        :meth:`LmsState.update` opens a scope per sample.
+        must check.  Every double op made inside the scope truncates too.
+        The scalar value ops cast only while this backend's scope is open; a
+        scope opened inside it gives its answer and changes nothing.
         """
-        return self
-
-    def __enter__(self) -> bool:
         global _rounding
-        self._depth += 1
-        if self._depth == 1:
-            if _rounding is None:
-                _rounding = _load_rounding()
-            if _rounding:
-                setter, getter, mode = _rounding
-                self._restore = setter, getter()
-                setter(mode)
-                self._scoped = True
-        return self._scoped
-
-    def __exit__(self, *exc_info) -> None:
-        self._depth -= 1
-        if self._depth == 0 and self._scoped:
+        if _rounding is None:
+            _rounding = _load_rounding()
+        if self._scoped or not _rounding:
+            yield self._scoped
+            return
+        setter, getter, mode = _rounding
+        previous = getter()
+        setter(mode)
+        self._scoped = True
+        try:
+            yield True
+        finally:
             self._scoped = False
-            setter, previous = self._restore
             setter(previous)
 
     # -- word methods: the value ops on the two-word view ------------------

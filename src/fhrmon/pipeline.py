@@ -81,6 +81,9 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) or (value is None and name in OPTIONAL_PATHS)):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
+        if self.thoracic == self.abdominal:
+            raise ConfigError(f"thoracic and abdominal name one channel, {self.thoracic!r}: "
+                              "the canceller needs two")
         if (self.input_path is None) == (self.synth is None):
             raise ConfigError("exactly one of input_path or synth must be given")
         if self.synth is not None:

@@ -10,7 +10,6 @@ import pytest
 from fhrmon.fhr import (
     ENHANCE_WINDOW,
     NoEstimateError,
-    PeakEnhancer,
     PeakSet,
     compute_fhr,
     detect_peaks,
@@ -90,9 +89,7 @@ class TestEnhancement:
     def test_requires_positive_configuration(self):
         bk = make_backend("soft")
         with pytest.raises(ValueError):
-            PeakEnhancer(bk, n_total=0)
-        with pytest.raises(ValueError):
-            PeakEnhancer(bk, n_total=10, window=0)
+            enhance(bk, [])
 
 
 class TestLocalMaxima:

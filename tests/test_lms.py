@@ -561,6 +561,22 @@ class TestRoundingScope:
         assert seen == [backend == "soft"]
         assert not truncating()
 
+    def test_round_to_nearest_after_operand_error_in_a_rejected_block(self, monkeypatch):
+        update = LmsState.update
+        seen = []
+
+        def failing(self, x, d):
+            update(self, x, d)
+            seen.append(truncating())
+            raise fpu.OperandError("inside a rejected block")
+
+        monkeypatch.setattr(lms._BlockKernel, "in_range", lambda self, *args: False)
+        monkeypatch.setattr(LmsState, "update", failing)
+        with pytest.raises(fpu.OperandError, match="inside a rejected block"):
+            self.run()
+        assert seen == [True]
+        assert not truncating()
+
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     @pytest.mark.parametrize("case", ["saturating", "flushing"])
     def test_no_runtime_warning_escapes(self, backend, case, request):

@@ -10,7 +10,9 @@ message for message.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 
 from fhrmon import fhr, lms, numeric
 from fhrmon.fpu import (
-    FRAC_MASK, MAX_NORMAL_MAG, CmpCode, FpuFlags, OperandError, decode, fpu_add, fpu_cmp, fpu_mul,
-    fpu_sub, join
+    EXP_MASK, FRAC_MASK, MAX_NORMAL_MAG, CmpCode, FpuFlags, OperandError, decode, encode, fpu_add,
+    fpu_cmp, fpu_mul, fpu_sub, join
 )
 from fhrmon.io import SynthSpec, generate_synthetic
 from fhrmon.numeric import SoftF32Backend, make_backend
@@ -322,6 +324,47 @@ class TestRoundTowardZeroArithmetic:
         assert cancel.view(np.uint32).tolist() == [fpu_add(w, w ^ SIGN) for w in words] == [0] * 4
         assert both_negative.view(np.uint32).tolist() == [fpu_add(SIGN, SIGN)] * 4 == [SIGN] * 4
         assert mixed.view(np.uint32).tolist() == [fpu_add(0, SIGN)] * 4 == [0] * 4
+
+
+def _nearest_word(value: float):
+    """``encode``'s word, or its error type and text, from a C cast that rounds to nearest."""
+    try:
+        word = struct.unpack("<I", struct.pack("<f", value))[0]
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+    if word & EXP_MASK == EXP_MASK:
+        return ValueError, f"value not representable as a normal float32: {value!r}"
+    return word & SIGN if word & EXP_MASK == 0 else word  # subnormals flush
+
+
+def _encoded(value: float):
+    try:
+        return encode(value)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_MAX_NORMAL = decode(MAX_NORMAL_MAG)
+# 2^-126 and the halfway point below it, max normal and the halfway point to
+# 2^128, half the least subnormal: each with its neighbouring doubles
+_ENCODE_EDGES = sorted({
+    s * math.nextafter(v, toward)
+    for v in (2.0**-126, 2.0**-126 - 2.0**-150, _MAX_NORMAL, _MAX_NORMAL + 2.0**103, 2.0**-150)
+    for toward in (0.0, v, math.inf)
+    for s in (1.0, -1.0)
+})
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.floats(), st.sampled_from(_ENCODE_EDGES)))
+def test_encode_rounds_to_nearest_in_and_out_of_a_scope(value):
+    want = _nearest_word(value)  # computed here, outside any scope
+    assert _encoded(value) == want
+    backend = SoftF32Backend()
+    with backend.rounding_scope():
+        assert _encoded(value) == want
+        if isinstance(want, int):
+            assert numeric.quantized(value) == decode(want)
 
 
 class TestRangeEnd:

@@ -525,6 +525,30 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: channel 'chest'")
 
+    def test_one_channel_for_both_canceller_inputs_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        write_recording(generate_synthetic(SynthSpec(duration_s=0.5)), path)
+        rc = cli_main(["run", "--input", str(path), "--fs", "1000",
+                       "--thoracic", "abdominal", "--abdominal", "abdominal"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: thoracic and abdominal name one")
+
+    @pytest.mark.parametrize("fs, rc", [("500", 2), ("1000", 0)])
+    def test_raw_file_fs_must_match_its_header(self, fs, rc, tmp_path, capsys):
+        path = tmp_path / "rec.raw"
+        write_recording(generate_synthetic(FAST_SPEC), path, format="raw")
+        argv = ["run", "--input", str(path), "--format", "raw", "--fs", fs,
+                "--backend", "float64", "--convergence-index", "2000"]
+        assert cli_main(argv) == rc
+        captured = capsys.readouterr()
+        if rc:
+            assert captured.err == f"error: {path}: fs 500 Hz given, but the header says 1000 Hz\n"
+        else:
+            assert json.loads(captured.out)["fs"] == 1000.0
+
     def test_channels_and_annotations_after_a_byte_order_mark_resolve(self, tmp_path, capsys):
         rec = generate_synthetic(FAST_SPEC)
         rec_path, ann_path = tmp_path / "rec.csv", tmp_path / "rec.ann"
