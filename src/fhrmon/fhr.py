@@ -12,11 +12,11 @@ The detector runs in two passes over an extracted-FECG stream:
   peak gap in favor of the larger one.
 
 The two-pass split exists because ``m1``/``m2`` are normalized by the stream
-length, which is only known once the stream ends.  Both passes run on the
-backend's word methods, each loop of adds and multiplies in one rounding
-scope (see :mod:`fhrmon.numeric`).  Heart rate follows from
-the mean gap between accepted peaks.  Scoring against fetal/maternal
-annotations uses greedy one-to-one matching inside a +/-50 ms window.
+length, which is only known once the stream ends.  Pass 1 runs on values
+(bulk ops, and one sum chain for ``m1``) but for its window total, which like
+pass 2 runs on the backend's word methods (see :mod:`fhrmon.numeric`).  Heart
+rate follows from the mean gap between accepted peaks.  Scoring against
+fetal/maternal annotations uses greedy one-to-one matching inside a +/-50 ms window.
 """
 
 from __future__ import annotations
@@ -109,30 +109,29 @@ class Metrics:
 def enhance(backend, samples) -> tuple[list, object]:
     """Differentiate, square and mean-filter a stream; returns ``sdm`` and ``m1``.
 
-    Each squared difference, scaled by 1/P, enters a zero-filled ring of P,
-    and ``sdm`` is their running total.  Every ``sdm`` sample adds
-    ``sdm / n`` to ``m1``, so ``m1`` is the mean of ``sdm`` once all ``n``
-    samples are in: the stream length must be known up front.
+    The differences (from +0 before the first sample), their squares and
+    the 1/P scaling are bulk ops.  Each scaled square enters a zero-filled
+    ring of P, and ``sdm`` is their running total on the word methods,
+    written over the scaled words.  ``m1`` is the last sum of one chain
+    adding every ``sdm / n``: the mean of ``sdm`` once all ``n`` are in.
     """
     if not len(samples):
         raise ValueError("enhancement needs a non-empty stream")
     bk = backend
-    sub, add, mul = bk.sub, bk.add, bk.mul
+    x = bk.to_values([bk.zero, *samples])
+    x = bk.bulk_sub(x[1:], x[:-1])  # the differences, freeing the stream's values
+    sdm = bk.to_words(bk.bulk_mul(bk.bulk_mul(x, x), quantized(1.0 / ENHANCE_WINDOW)))
+    del x  # no float array lives through the word loop
+    add, sub = bk.add, bk.sub
     ring = deque([bk.zero] * ENHANCE_WINDOW, maxlen=ENHANCE_WINDOW)
-    prev = total = m1 = bk.zero
-    sdm = []
+    total = bk.zero
     with bk.rounding_scope():
-        inv_p = bk.encode(quantized(1.0 / ENHANCE_WINDOW))
-        inv_n = bk.encode(quantized(1.0 / len(samples)))
-        for sample in samples:
-            diff = sub(sample, prev)
-            prev = sample
-            scaled = mul(mul(diff, diff), inv_p)
-            total = sub(add(total, scaled), ring[0])
+        for k, scaled in enumerate(sdm):
+            total = sdm[k] = sub(add(total, scaled), ring[0])
             ring.append(scaled)  # full ring: drops ring[0]
-            m1 = add(m1, mul(total, inv_n))
-            sdm.append(total)
-    return sdm, m1
+    bk.ops.tally(len(sdm), add=1)  # the m1 chain's sums
+    m1 = bk.sum_chain(0.0, bk.bulk_mul(bk.to_values(sdm), quantized(1.0 / len(sdm))))[-1]
+    return sdm, bk.encode(float(m1))
 
 
 def find_local_maxima(backend, sdm_seq, m1) -> tuple[PeakSet, object]:

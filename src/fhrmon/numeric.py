@@ -17,7 +17,8 @@ Each backend offers three forms of add/sub/mul:
 
 Raw samples enter as values through ``ingest``, and the stages hand each
 other numpy arrays of values.  ``to_values``/``to_words`` convert whole
-streams where words remain: detection, the traces and the digests.
+streams where words remain: the canceller's errors, for the traces and the
+digests, and in detection the enhancement's window total and pass 2.
 
 Bulk ops and block kernels run whole vectors in the backend's ``block_dtype``
 inside its ``rounding_scope()``.  On the soft path the scope sets the C

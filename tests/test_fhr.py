@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+import reference
 
+from fhrmon import numeric
 from fhrmon.fhr import (
     ENHANCE_WINDOW,
     NoEstimateError,
@@ -90,6 +92,32 @@ class TestEnhancement:
         bk = make_backend("soft")
         with pytest.raises(ValueError):
             enhance(bk, [])
+
+    @pytest.mark.parametrize(
+        "backend, scales",
+        [
+            ("soft", [2.0**66]),  # squared differences saturate
+            ("soft", [2.0**-70]),  # every square flushes
+            ("soft", [2.0**66, 2.0**-70]),  # the first half saturates, the second flushes
+            ("float64", [1.0]),
+        ],
+    )
+    @pytest.mark.parametrize("scoped", [True, False], ids=["scope", "no_scope"])
+    def test_matches_reference_at_the_range_edges(self, backend, scales, scoped, monkeypatch):
+        # the bulk ops' oracle and the m1 chain against fpu_* one op at a time;
+        # without the rounding scope every element and the chain take the exact path
+        x = np.random.default_rng(3).normal(0, 1, 600)
+        x *= np.repeat(scales, len(x) // len(scales))
+        ar = reference.Arithmetic(backend)
+        words = [ar.sample(v) for v in x]
+        want_sdm, want_m1 = reference.enhance(ar, words)
+        if not scoped:
+            monkeypatch.setattr(numeric, "_rounding", False)
+        bk = make_backend(backend)
+        sdm, m1 = enhance(bk, words)
+        assert sdm == want_sdm and m1 == want_m1
+        assert (bk.flags.overflow, bk.flags.underflow) == (ar.flags.overflow, ar.flags.underflow)
+        assert dict(bk.ops) == ar.ops
 
 
 class TestLocalMaxima:

@@ -281,6 +281,20 @@ class TestDispatchAndHex:
         with pytest.raises(ValueError):
             fpu_op(7, bits(1.0), bits(1.0))
 
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: join(2, 0, 0), "sign must be 0 or 1"),
+            (lambda: join(0, 256, 0), "exponent out of range"),
+            (lambda: join(0, 0, 1 << 23), "fraction out of range"),
+            (lambda: fpu.from_hex("1ffffffff"), "not a 32-bit word"),
+        ],
+        ids=["sign", "exponent", "fraction", "wide_hex"],
+    )
+    def test_field_and_hex_range_errors(self, call, named):
+        with pytest.raises(ValueError, match=named):
+            call()
+
     def test_hex_roundtrip(self):
         for w in (0x00000000, 0x80000000, 0x3F800000, 0xFF7FFFFF):
             assert fpu.from_hex(fpu.to_hex(w)) == w

@@ -256,6 +256,36 @@ class TestAnnotations:
             load_annotations(path)
 
 
+@pytest.mark.parametrize(
+    "content, call, named",
+    [
+        (b"a\n0.5\n", lambda p: load_recording(p, format="wav"), "unknown recording format"),
+        (None, lambda p: write_recording(Recording({"a": np.zeros(2)}, fs=1.0), p, format="wav"),
+         "unknown recording format"),
+        (b"", lambda p: load_recording(p, fs=1000.0), "empty file"),
+        (b"a,b,a\n1,2,3\n", lambda p: load_recording(p, fs=1000.0), "duplicate channel names"),
+        (b"FHRRAW1 fs=100 channels=a\n\x00\x01", lambda p: load_recording(p, format="raw"),
+         "malformed raw header"),
+        (b"100,fetal\nx1,maternal\n", load_annotations, "line 2: non-integer index 'x1'"),
+    ],
+    ids=["load_format", "write_format", "empty_csv", "duplicate_channel", "raw_without_n",
+         "annotation_index"],
+)
+def test_bad_file_or_format_names_the_fault(content, call, named, tmp_path):
+    path = tmp_path / "rec"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(RecordingError, match=named):
+        call(path)
+
+
+def test_annotation_comments_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "ann.txt"
+    path.write_text("# fetal and maternal beats\n100,fetal\n\n50,maternal\n")
+    out = load_annotations(path)
+    assert out["fetal"].locations == [100] and out["maternal"].locations == [50]
+
+
 class TestSyntheticGenerator:
     def test_determinism(self):
         spec = SynthSpec(duration_s=5.0, seed=99)

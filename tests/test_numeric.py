@@ -542,6 +542,20 @@ class TestSumChain:
         assert not truncating()
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("quad",), "unknown backend: 'quad'"),
+        (("soft", "lenient"), "cmp_mode must be one of"),
+        (("float64", "verbatim"), "applies to backend 'soft' only"),
+    ],
+    ids=["backend", "cmp_mode", "float64_cmp_mode"],
+)
+def test_make_backend_rejects_what_it_cannot_build(args, named):
+    with pytest.raises(ValueError, match=named):
+        make_backend(*args)
+
+
 def _count_ops(backend) -> dict:
     """The backend's own op meter, zeroed; it counts word, bulk and kernel ops."""
     backend.ops.update(dict.fromkeys(backend.ops, 0))

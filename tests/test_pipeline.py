@@ -170,9 +170,11 @@ class TestRunPipeline:
         rep = run_pipeline(cfg)
         assert rep.metrics is not None
 
-    def test_soft_pass_converts_only_the_errors_to_words(self, monkeypatch):
-        # values flow from ingest to the canceller's output; its errors are
-        # the one stream converted, for detection and the digests
+    def test_soft_pass_converts_whole_streams_only_at_the_word_edges(self, monkeypatch):
+        # values flow from ingest to the canceller's output; its errors turn
+        # to words once, for detection and the digests, and the enhancement
+        # converts its input, its scaled terms and sdm once each: a
+        # conversion per block would add entries here
         calls = []
 
         def counting_backend(*args):
@@ -188,7 +190,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline, "make_backend", counting_backend)
         pipeline.execute(fast_config(backend="soft"), "parallel")
-        assert calls == ["to_words"]
+        assert calls == ["to_words", "to_values", "to_words", "to_values"]
 
 
 # sha256 of each trace file of the FAST_SPEC run (convergence at 2000).
@@ -512,6 +514,27 @@ class TestCli:
     def test_exit_status_on_config_error(self, tmp_path, capsys):
         rc = cli_main(["run", "--input", "nope.csv", "--synth", "also.json"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "content, argv, named",
+        [
+            (None, ["run", "--config", "{path}"], "cannot read {path}"),
+            ("{not json", ["run", "--config", "{path}"], "invalid JSON in {path}"),
+            (None, ["fpu", "add", "1ffffffff", "0"], "not a 32-bit word: '1ffffffff'"),
+        ],
+        ids=["unreadable_config", "non_json_config", "wide_fpu_word"],
+    )
+    def test_bad_input_exits_2_with_one_error_line_naming_it(self, content, argv, named, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()  # opening a directory fails
+        else:
+            path.write_text(content)
+        assert cli_main([a.format(path=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named.format(path=path)}")
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--input", str(tmp_path / "absent.csv"), "--fs", "1000"])
