@@ -9,7 +9,7 @@ factors ``s_x`` and ``s_d``:
     w[k] += beta * e * (x[k] * s_x)       (k ascending)
 
 The modelled datapath issues 5m + 3 ops per sample (2m adds, one subtract,
-3m + 2 multiplies), scaling every tap of the window afresh.
+3m + 2 multiplies), scaling every tap of the window afresh: :func:`step_ops`.
 :meth:`LmsState.update` is that step on values, op for op, and the exact
 path the block kernel falls back to; its caller opens the rounding scope
 around the loop of steps, as for every other exact loop.
@@ -21,7 +21,8 @@ whose results leave that range, the scalings of the taps it inherits
 included, is rerun by :meth:`LmsState.update`, so flags and words still come
 from the exact path.
 The two datapath models run the same step and differ only in the
-:class:`Schedule` their :class:`CycleStats` are accounted from:
+:class:`Schedule`, an assignment of those ops to cycles, that their
+:class:`CycleStats` are accounted from:
 
 * :class:`SeriesDatapath` — one multiply-accumulate lane reused across
   ``2m + 1`` cycles per sample (few arithmetic units, long latency).
@@ -33,10 +34,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from functools import reduce
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -45,9 +46,7 @@ from .numeric import any_out_of_range, quantized
 DEFAULT_ORDER = 19
 DEFAULT_STEP_SIZE = 7e-5
 
-# Published arithmetic-unit budget of the serial datapath.  Its schedule
-# peaks at 5 ops in one cycle (``Schedule.peak``), within this budget; the
-# parallel datapath needs one unit per operation of the whole sample step.
+# Published arithmetic-unit budget of the serial datapath, whose schedule peaks at 5.
 SERIES_FPU_INSTANCES = 9
 
 
@@ -70,14 +69,31 @@ class LmsConfig:
         return 2.0 * self.step_size
 
 
+def step_ops(order: int) -> list[tuple]:
+    """The 5m + 3 ops of one sample step as ``(kind, result, operands)``, in
+    :meth:`LmsState.update`'s order.  Operands no op makes are the step's inputs.
+    """
+    ops = []
+    for k in range(order):
+        ops += [("mul", f"sx{k}", (f"x{k}", "s_x")), ("mul", f"p{k}", (f"sx{k}", f"w{k}")),
+                ("add", f"y{k}", (f"y{k - 1}" if k else "0", f"p{k}"))]
+    ops += [("mul", "sd", ("d", "s_d")), ("sub", "e", ("sd", f"y{order - 1}")),
+            ("mul", "be", ("beta", "e"))]
+    for k in range(order):
+        ops += [("mul", f"u{k}", ("be", f"sx{k}")), ("add", f"w{k}'", (f"w{k}", f"u{k}"))]
+    return ops
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Issue profile of one sample step and the arithmetic units it needs."""
+    """The cycles :func:`step_ops`' ops issue in, and the arithmetic units they need."""
 
-    cycles: int
-    ops: int
-    peak: int  # most ops issued in one cycle
+    issue: tuple  # issue[c]: the indices of the ops issued in cycle c + 1
     fpu_instances: int
+
+    cycles = property(lambda self: len(self.issue))
+    ops = property(lambda self: sum(map(len, self.issue)))
+    peak = property(lambda self: max(map(len, self.issue)))  # most ops issued in one cycle
 
     @classmethod
     def series(cls, order: int) -> Schedule:
@@ -92,13 +108,30 @@ class Schedule:
           (no arithmetic).
         """
         walk = [3] * order + [5] + [2] * (order - 1) + [0]
-        return cls(len(walk), sum(walk), max(walk), SERIES_FPU_INSTANCES)
+        return cls(tuple(tuple(range(end - n, end)) for n, end in zip(walk, accumulate(walk))),
+                   SERIES_FPU_INSTANCES)
 
     @classmethod
     def parallel(cls, order: int) -> Schedule:
         """Every operation of the sample step in one cycle, on a unit of its own."""
-        ops = 5 * order + 3
-        return cls(1, ops, ops, ops)
+        ops = len(step_ops(order))
+        return cls((tuple(range(ops)),), ops)
+
+    def check(self, table: list[tuple]) -> str | None:
+        """None if each op of ``table`` issues once, in no cycle before its operands are
+        made (ops chain within a cycle), on no more units than there are; else the first fault."""
+        made = {table[i][1]: c for c, ops in enumerate(self.issue, 1) for i in ops}
+        if self.ops != len(table) or len(made) != len(table):
+            return f"issues {self.ops} ops, not each of the table's {len(table)} once"
+        late = [(c, i, a) for c, ops in enumerate(self.issue, 1) for i in ops
+                for a in table[i][2] if made.get(a, 0) > c]
+        if late:
+            c, i, a = late[0]
+            return (f"issues op {i} ({table[i][0]} {table[i][1]}) in cycle {c}, "
+                    f"before its operand {a} is made in cycle {made[a]}")
+        if self.peak > self.fpu_instances:
+            return f"issues {self.peak} ops in one cycle on {self.fpu_instances} units"
+        return None
 
 
 @dataclass(frozen=True)
@@ -130,7 +163,7 @@ class LmsState:
         m = cfg.order
         self.window_values = deque([0.0] * m, maxlen=m)
         self.weight_values = [0.0] * m
-        self.ops_per_step = {"add": 2 * m, "sub": 1, "mul": 3 * m + 2}
+        self.ops_per_step = Counter(kind for kind, _, _ in step_ops(m))
 
     def update(self, x: float, d: float) -> float:
         """One-sample update on values; returns the error ``e``.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -178,12 +178,7 @@ def effective_convergence_index(cfg_value: int | None, n_samples: int) -> int:
 
 
 class FrontEnd(NamedTuple):
-    """Both preprocessed channels and the scale factors chosen from them.
-
-    Everything before the canceller depends only on the recording and the
-    configuration, never on the architecture, so one front end can feed both
-    datapaths.
-    """
+    """Both preprocessed channels and the scale factors chosen from them."""
 
     thoracic_pp: np.ndarray  # float32 values
     abdominal_pp: np.ndarray
@@ -244,18 +239,18 @@ def execute(
     """Run preprocess -> canceller -> detection for one architecture.
 
     A ``reference`` pass made earlier on the same recording and configuration
-    lends its front end in place of the preprocessing pass, and its detection
-    when this pass's error words equal its own; the canceller always runs.
+    lends its front end, error words, warnings and detection, which do not
+    depend on the schedule; this pass only accounts its own schedule's cycles.
     """
+    if reference is not None:
+        stats = lms.CycleStats.of(getattr(lms.Schedule, arch)(cfg.order), len(reference.errors))
+        return replace(reference, arch=arch, stats=stats, warnings=list(reference.warnings))
     rec = recording if recording is not None else load_input(cfg)
     conv = effective_convergence_index(cfg.convergence_index, rec.n_samples)
     if conv >= rec.n_samples:
         raise PipelineError("no samples after the convergence marker")
     backend = make_backend(cfg.backend, cfg.cmp_mode)
-    if reference is None:
-        front_end = preprocess_front_end(cfg, rec, backend)
-    else:
-        front_end = reference.front_end
+    front_end = preprocess_front_end(cfg, rec, backend)
 
     lms_cfg = lms.LmsConfig(
         order=cfg.order,
@@ -272,12 +267,9 @@ def execute(
     if first_flag is not None:
         warnings.append(f"arithmetic saturation/flush first raised at sample {first_flag}")
 
-    if reference is not None and reference.errors == errors:
-        detection = reference.detection
-    else:
-        detection = fhr.detect_peaks(backend, errors[conv:], rec.fs)
-        detection["peaks_absolute"] = detection["peaks"].shifted(conv)
-        detection["maxima_absolute"] = detection["maxima"].shifted(conv)
+    detection = fhr.detect_peaks(backend, errors[conv:], rec.fs)
+    detection["peaks_absolute"] = detection["peaks"].shifted(conv)
+    detection["maxima_absolute"] = detection["maxima"].shifted(conv)
     if detection["degenerate"]:
         warnings.append("degenerate detection threshold (no maxima above m1)")
     return RunArtifacts(
@@ -414,38 +406,36 @@ class ArchitectureComparison:
     series_report: RunReport
     parallel_report: RunReport
     identical_outputs: bool
-    first_divergence: int | None
     cycle_ratio: float
     fpu_instances: dict
 
     def summary(self) -> dict:
         return {
             "identical_outputs": self.identical_outputs,
-            "first_divergence": self.first_divergence,
             "cycle_ratio": self.cycle_ratio,
             "fpu_instances": self.fpu_instances,
         }
 
 
 def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
-    """Run both datapaths on one front end and check their outputs are bit-identical.
+    """Run the stages once for both architectures and check both schedules.
 
-    The recording is preprocessed once, in the series pass, and the parallel
-    pass reuses those channels and scale factors; each datapath then runs its own
-    canceller, and the parallel pass also reuses the series detection when
-    their error words are equal.  A comparison writes no files, so a
-    configured ``out_dir`` or ``trace`` is a :class:`ConfigError`.
-
-    Error streams that differ anywhere give ``identical_outputs`` False,
-    ``first_divergence`` the first sample they differ at, and a failure in
-    both reports naming it.  A pass that fails with :class:`PipelineError`
-    leaves both reports with that failure, as :func:`run_pipeline` does, and
-    ``identical_outputs`` False: there are no outputs to compare.
+    The parallel pass reuses the series pass's words (:func:`execute`).
+    ``identical_outputs`` is True when both schedules are valid orders of
+    :func:`lms.step_ops`, whose results do not depend on the order its ops
+    issue in; a schedule that is not adds a failure naming the op and both
+    cycles to both reports.  A :class:`PipelineError` leaves both reports
+    with that failure, as :func:`run_pipeline` does, and ``identical_outputs``
+    False.  A comparison writes no files, so ``out_dir`` or ``trace`` is a
+    :class:`ConfigError`.
     """
     _reject_file_outputs(cfg, "compare")
     rec = load_input(cfg)
     series_cfg, parallel_cfg = cfg.replaced(arch="series"), cfg.replaced(arch="parallel")
-    i = None
+    s, p = lms.Schedule.series(cfg.order), lms.Schedule.parallel(cfg.order)
+    table = lms.step_ops(cfg.order)
+    problems = [f"{arch} schedule {problem}" for arch, problem in
+                (("series", s.check(table)), ("parallel", p.check(table))) if problem]
     try:
         series = execute(series_cfg, "series", rec)
         parallel = execute(parallel_cfg, "parallel", rec, series)
@@ -454,20 +444,13 @@ def compare_architectures(cfg: RunConfig) -> ArchitectureComparison:
         identical = False
     else:
         reports = build_report(series_cfg, series), build_report(parallel_cfg, parallel)
-        if series.errors != parallel.errors:
-            i = next(i for i, (a, b) in enumerate(zip(series.errors, parallel.errors)) if a != b)
-            for report in reports:
-                report.failures.append(
-                    f"architecture outputs diverge at sample {i}: "
-                    f"series={series.errors[i]!r} parallel={parallel.errors[i]!r}"
-                )
-        identical = i is None
+        for report in reports:
+            report.failures += problems
+        identical = not problems
 
-    s, p = lms.Schedule.series(cfg.order), lms.Schedule.parallel(cfg.order)
     return ArchitectureComparison(
         *reports,
         identical_outputs=identical,
-        first_divergence=i,
         cycle_ratio=s.cycles / p.cycles,
         fpu_instances={"series": s.fpu_instances, "parallel": p.fpu_instances},
     )

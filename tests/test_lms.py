@@ -137,6 +137,56 @@ class TestCycleAccounting:
             make_datapath("mixed", LmsConfig(), make_backend("soft"))
 
 
+class TestStepOps:
+    """``step_ops``: the kernel's step, and the table both schedules order."""
+
+    N = 300
+
+    @pytest.mark.parametrize("backend", ["soft", "float64"])
+    def test_table_is_the_kernels_step(self, backend, request):
+        # the table run op by op on fpu words, over the default record's first samples
+        fixture = "soft_artifacts" if backend == "soft" else "ref_artifacts"
+        fe = request.getfixturevalue(fixture).front_end
+        cfg = LmsConfig(input_scale=fe.scale_x, desired_scale=fe.scale_d)
+        m, ar = cfg.order, Arithmetic(backend)
+        xw = make_backend(backend).to_words(fe.thoracic_pp[: self.N])
+        dw = make_backend(backend).to_words(fe.abdominal_pp[: self.N])
+        constants = {"s_x": ar.constant(cfg.input_scale), "s_d": ar.constant(cfg.desired_scale),
+                     "beta": ar.constant(cfg.beta), "0": ar.zero}
+        window, weights, errors = [ar.zero] * m, [ar.zero] * m, []
+        for x, d in zip(xw, dw):
+            window = [x] + window[:-1]
+            words = {**constants, "d": d}
+            words.update((f"x{k}", v) for k, v in enumerate(window))
+            words.update((f"w{k}", v) for k, v in enumerate(weights))
+            for kind, result, operands in lms.step_ops(m):
+                words[result] = getattr(ar, kind)(*(words[a] for a in operands))
+            errors.append(words["e"])
+            weights = [words[f"w{k}'"] for k in range(m)]
+
+        kernel = ParallelDatapath(cfg, make_backend(backend))
+        stepped = SeriesDatapath(cfg, make_backend(backend))
+        assert cancel_words(kernel, xw, dw)[0] == update_loop(stepped, xw, dw)[0] == errors
+        assert state_words(kernel)[1] == state_words(stepped)[1] == weights
+
+    @pytest.mark.parametrize("m", [1, 2, 19])
+    def test_schedules_are_valid_orders_of_the_table(self, m):
+        table, ops = lms.step_ops(m), 5 * m + 3
+        series, parallel = Schedule.series(m), Schedule.parallel(m)
+        assert series.check(table) is None
+        assert parallel.check(table) is None
+        assert (series.cycles, series.ops, series.peak) == (2 * m + 1, ops, 5)
+        assert (parallel.cycles, parallel.ops, parallel.peak) == (1, ops, ops)
+        assert (series.fpu_instances, parallel.fpu_instances) == (9, ops)
+        state = LmsState(LmsConfig(order=m), make_backend("soft"))
+        assert state.ops_per_step == {"add": 2 * m, "sub": 1, "mul": 3 * m + 2}
+        # a schedule that leaves out ops, or needs more units than it has, is refused
+        dropped = Schedule(series.issue[1:], 9)
+        assert dropped.check(table) == f"issues {ops - 3} ops, not each of the table's {ops} once"
+        crowded = Schedule(parallel.issue, ops - 1)
+        assert crowded.check(table) == f"issues {ops} ops in one cycle on {ops - 1} units"
+
+
 class TestArchitectureEquivalence:
     @pytest.mark.parametrize("m", [1, 2, 19])
     def test_bit_identical_outputs_and_weights(self, m):

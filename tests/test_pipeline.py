@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import warnings
 
 import numpy as np
@@ -249,12 +248,29 @@ class TestTraces:
         assert refed.locations == reported
 
 
+# The series walk with cycles 19 and 20 swapped: the error's sub (op 58)
+# then issues in cycle 19, before the last tap's sum y18 is made.
+BROKEN_SERIES_FAILURE = (
+    "series schedule issues op 58 (sub e) in cycle 19, before its operand y18 is made in cycle 20"
+)
+
+
+def break_error_dependence(monkeypatch) -> None:
+    series = lms.Schedule.series
+
+    def swapped(order):
+        issue = list(series(order).issue)
+        issue[order - 1], issue[order] = issue[order], issue[order - 1]
+        return lms.Schedule(tuple(issue), lms.SERIES_FPU_INSTANCES)
+
+    monkeypatch.setattr(lms.Schedule, "series", swapped)
+
+
 class TestCompareArchitectures:
     def test_identical_streams_and_ratio(self):
         cfg = fast_config(arch="both")
         cmp_result = compare_architectures(cfg)
         assert cmp_result.identical_outputs
-        assert cmp_result.first_divergence is None
         assert cmp_result.cycle_ratio == 39.0
         assert cmp_result.fpu_instances == {"series": 9, "parallel": 98}
         s = cmp_result.series_report
@@ -293,29 +309,23 @@ class TestCompareArchitectures:
         assert calls == [4000]
         assert cmp_result.series_report.threshold == cmp_result.parallel_report.threshold
 
-    def test_detects_again_when_error_words_differ(self, monkeypatch):
+    def test_runs_the_canceller_and_detection_once(self, monkeypatch):
         calls = []
-        detect_peaks = fhr.detect_peaks
-        run_canceller = lms.run_canceller
+        run_canceller, detect_peaks = lms.run_canceller, fhr.detect_peaks
+
+        def counting_canceller(datapath, x, d):
+            calls.append(("run_canceller", len(x)))
+            return run_canceller(datapath, x, d)
 
         def counting_detect(*args):
-            calls.append(len(args[1]))
+            calls.append(("detect_peaks", len(args[1])))
             return detect_peaks(*args)
 
-        def perturbed(datapath, x, d):
-            errors, first_flag = run_canceller(datapath, x, d)
-            if isinstance(datapath, lms.ParallelDatapath):
-                errors[3000] += 1.0
-            return errors, first_flag
-
+        monkeypatch.setattr(lms, "run_canceller", counting_canceller)
         monkeypatch.setattr(fhr, "detect_peaks", counting_detect)
-        monkeypatch.setattr(lms, "run_canceller", perturbed)
         cmp_result = compare_architectures(fast_config(arch="both"))
-        assert calls == [4000, 4000]
-        assert not cmp_result.identical_outputs
-        assert cmp_result.first_divergence == 3000
-        for report in (cmp_result.series_report, cmp_result.parallel_report):
-            assert any("diverge at sample 3000" in f for f in report.failures)
+        assert calls == [("run_canceller", 6000), ("detect_peaks", 4000)]
+        assert cmp_result.identical_outputs
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     def test_reports_match_single_architecture_runs(self, backend):
@@ -327,24 +337,12 @@ class TestCompareArchitectures:
             for key in ("fhr", "metrics", "scale_factors", "cycle_stats", "threshold", "warnings"):
                 assert getattr(report, key) == getattr(alone, key), (arch, key)
 
-    def test_divergence_names_first_differing_sample(self, monkeypatch):
-        run_canceller = lms.run_canceller
-
-        def perturbed(datapath, x, d):
-            errors, first_flag = run_canceller(datapath, x, d)
-            if isinstance(datapath, lms.SeriesDatapath):
-                errors[7] += 1.0
-                errors[9] += 1.0
-            return errors, first_flag
-
-        monkeypatch.setattr(lms, "run_canceller", perturbed)
+    def test_schedule_breaking_a_dependence_fails_both_reports(self, monkeypatch):
+        break_error_dependence(monkeypatch)
         cmp_result = compare_architectures(fast_config(arch="both"))
-        assert (cmp_result.identical_outputs, cmp_result.first_divergence) == (False, 7)
+        assert not cmp_result.identical_outputs
         for report in (cmp_result.series_report, cmp_result.parallel_report):
-            assert re.fullmatch(
-                r"architecture outputs diverge at sample 7: series=\S+ parallel=\S+",
-                report.failures[-1],
-            )
+            assert report.failures[-1] == BROKEN_SERIES_FAILURE
 
     @pytest.mark.parametrize(
         "argv",
@@ -849,16 +847,10 @@ class TestCli:
         assert payload["summary"]["identical_outputs"]
         assert payload["summary"]["cycle_ratio"] == 39.0
 
-    def test_compare_divergence_prints_payload_and_exits_1(self, tmp_path, capsys, monkeypatch):
-        run_canceller = lms.run_canceller
-
-        def perturbed(datapath, x, d):
-            errors, first_flag = run_canceller(datapath, x, d)
-            if isinstance(datapath, lms.ParallelDatapath):
-                errors[2500] += 1.0
-            return errors, first_flag
-
-        monkeypatch.setattr(lms, "run_canceller", perturbed)
+    def test_compare_schedule_failure_prints_payload_and_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        break_error_dependence(monkeypatch)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
         rc = cli_main(
@@ -868,11 +860,21 @@ class TestCli:
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["identical_outputs"] is False
-        assert payload["summary"]["first_divergence"] == 2500
         for arch in ("series", "parallel"):
-            assert payload[arch]["failures"][-1].startswith(
-                "architecture outputs diverge at sample 2500: "
-            )
+            assert payload[arch]["failures"][-1] == BROKEN_SERIES_FAILURE
+
+    def test_saturating_compare_keeps_the_canceller_warning(self, tmp_path, capsys):
+        # the parallel pass reuses the series canceller, and with it the first flag
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
+        argv = ["--synth", str(spec_path), "--convergence-index", "2000", "--mu", "1e30"]
+        assert cli_main(["compare", *argv]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        for arch in ("series", "parallel"):
+            assert cli_main(["run", "--arch", arch, *argv]) == 1
+            warnings = json.loads(capsys.readouterr().out)["warnings"]
+            assert payload[arch]["warnings"] == warnings
+            assert "arithmetic saturation/flush first raised at sample 1" in warnings
 
     def test_compare_past_the_marker_prints_payload_and_exits_1(self, tmp_path, capsys):
         # a 2 s record has no samples after marker 5000: both passes fail as a run does
@@ -884,7 +886,6 @@ class TestCli:
         assert cli_main(["compare", *argv]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["identical_outputs"] is False
-        assert payload["summary"]["first_divergence"] is None
         for arch in ("series", "parallel"):
             assert payload[arch]["failures"] == ["no samples after the convergence marker"]
             assert payload[arch]["failures"] == run_report["failures"]
