@@ -111,16 +111,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    if cfg.arch == "both":
-        return _run_compare(cfg)
-    report = run_pipeline(cfg)
+    report = run_pipeline(_config_from_args(args))
     print(report.to_json(), end="")
     return 0 if report.ok else 1
 
 
-def _run_compare(cfg: RunConfig) -> int:
-    cmp_result = compare_architectures(cfg)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.arch is not None:
+        raise ConfigError(f"compare runs both architectures: --arch {args.arch} does not apply")
+    cmp_result = compare_architectures(_config_from_args(args))
     payload = {
         "summary": cmp_result.summary(),
         "series": json.loads(cmp_result.series_report.to_json()),
@@ -129,12 +128,6 @@ def _run_compare(cfg: RunConfig) -> int:
     _print_json(payload)
     ok = cmp_result.series_report.ok and cmp_result.parallel_report.ok
     return 0 if ok else 1
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.arch in ("series", "parallel"):
-        raise ConfigError(f"compare runs both architectures: --arch {args.arch} does not apply")
-    return _run_compare(_config_from_args(args))
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:

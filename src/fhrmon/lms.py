@@ -16,10 +16,11 @@ around the loop of steps, as for every other exact loop.
 :func:`run_canceller` runs whole channels of values through a block kernel:
 each sample's taps as numpy vectors (the software form of the parallel
 datapath), on the soft backend in float32 under round-toward-zero, which is
-the fpu's truncation while every result stays in the normal range.  A block
-whose results leave that range, the scalings of the taps it inherits
-included, is rerun by :meth:`LmsState.update`, so flags and words still come
-from the exact path.
+the fpu's truncation while every result stays in the normal range.  Each
+block goes through :meth:`~fhrmon.numeric._Backend.checked`, whose exact
+path declines: a block whose results leave that range, the scalings of the
+taps it inherits included, is rerun by :meth:`LmsState.update`, so flags and
+words still come from the exact path.
 The two datapath models run the same step and differ only in the
 :class:`Schedule`, an assignment of those ops to cycles, that their
 :class:`CycleStats` are accounted from:
@@ -36,12 +37,12 @@ import math
 from array import array
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .numeric import any_out_of_range, quantized
+from .numeric import quantized
 
 DEFAULT_ORDER = 19
 DEFAULT_STEP_SIZE = 7e-5
@@ -240,9 +241,10 @@ def run_canceller(datapath, x_values, d_values):
     """Drive a datapath over full channels; returns (errors, first_flag_index).
 
     The channels and the errors are numpy arrays of values.  Each ``BLOCK``
-    samples run through :class:`_BlockKernel`; a block it rejects runs
-    through :meth:`LmsState.update` from the same state instead, in one
-    rounding scope, so every flag is raised on the exact path.
+    samples run through :class:`_BlockKernel`; a block the backend's
+    ``checked`` refuses runs through :meth:`LmsState.update` from the same
+    state instead, in one rounding scope, so every flag is raised on the
+    exact path.
     ``first_flag_index`` is the first sample whose step raised a
     saturation/flush flag, or None.  The backend's flag totals at entry are
     the reference, so flags raised by earlier stages sharing the backend are
@@ -255,17 +257,20 @@ def run_canceller(datapath, x_values, d_values):
     n = min(len(x_values), len(d_values))
     errors = np.empty(n)
     kernel = _BlockKernel(state)
-    with np.errstate(all="ignore"):
-        for start in range(0, n, BLOCK):
-            x, d = x_values[start : start + BLOCK], d_values[start : start + BLOCK]
-            out = errors[start : start + BLOCK]
-            if kernel.run(x, d, out):
-                continue
-            with bk.rounding_scope():
-                for i, xi, di in zip(range(len(out)), x.tolist(), d.tolist()):
-                    out[i] = state.update(xi, di)
-                    if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
-                        first_flag = start + i
+    for start in range(0, n, BLOCK):
+        x, d = x_values[start : start + BLOCK], d_values[start : start + BLOCK]
+        out = errors[start : start + BLOCK]
+        # The kernel's exact path declines: a refused block steps on update instead.
+        e = bk.checked(partial(kernel.compute, x, d), lambda: None)
+        if e is not None:
+            kernel.commit(x, len(d))
+            out[:] = e
+            continue
+        with bk.rounding_scope():
+            for i, xi, di in zip(range(len(out)), x.tolist(), d.tolist()):
+                out[i] = state.update(xi, di)
+                if first_flag is None and bk.flags.overflow + bk.flags.underflow > entry_total:
+                    first_flag = start + i
     bk.ops.tally(n, **state.ops_per_step)
     datapath.samples += n
     return errors, first_flag
@@ -281,9 +286,9 @@ class _BlockKernel:
     ``block_dtype``, in the step's op order: products, their sum
     accumulated from +0 in tap order, the error, ``beta*e``, the update
     terms and the new weights.  Every intermediate is kept, one row per
-    sample, so that on a backend with a ``block_range`` one bulk check can
-    rebuild the exact result of each op and reject the block if any lies
-    outside it.  A block is committed to the state only if it is accepted.
+    sample, so that :meth:`ops` can hand the backend's ``checked`` every op,
+    whose exact result it rebuilds to refuse the block if any lies outside
+    the normal range.  A block is committed to the state only if it is accepted.
     Each tap is scaled once per block: a multiply depends only on its
     operands, so every sample reads the value its own scaling would give,
     and an accepted block has no scaling that raises a flag.
@@ -311,21 +316,8 @@ class _BlockKernel:
         self.rows = list(zip(self.weights, self.weights[1:], self.products,
                              self.products[:, 1:], self.sums, self.terms))
 
-    def run(self, x: np.ndarray, d: np.ndarray, out: np.ndarray) -> bool:
-        """Run a block of values; on success write its errors to ``out``."""
-        bk = self.state.backend
-        with bk.rounding_scope() as available:
-            if not available:
-                return False
-            sd, e, be = self.compute(x, d)
-        if bk.block_range is not None and not self.in_range(d, sd, e, be, *bk.block_range):
-            return False
-        self.commit(x, len(d))
-        out[:] = e
-        return True
-
     def compute(self, x, d):
-        """The block's arithmetic; returns the scaled desired samples, errors and gains."""
+        """The block's arithmetic; returns the errors and the block's :meth:`ops`."""
         st, n, m = self.state, len(d), self.order
         dt = self.taps.dtype
         multiply, add, accumulate = np.multiply, np.add, np.add.accumulate
@@ -349,13 +341,13 @@ class _BlockKernel:
             multiply(gain, win, u)
             add(w, u, w_next)
         e = sd - self.sums[:n, m]
-        return sd, e, self.beta * e
+        return e, self.ops(d, sd, e, self.beta * e)
 
-    def in_range(self, d, sd, e, be, lo, hi) -> bool:
-        """Whether no op's result, redone in float64, is out of range."""
+    def ops(self, d, sd, e, be) -> tuple:
+        """Every op of the block as ``(ufunc, a, b)``, after :meth:`compute`."""
         n, m = len(d), self.order
         wins, weights, sums = self.windows[n - 1 :: -1], self.weights[:n], self.sums[:n]
-        ops = (
+        return (
             (np.multiply, self.raw_taps[: n + m - 1], self.input_scale),
             (np.multiply, d, self.desired_scale),
             (np.multiply, wins, weights),
@@ -365,7 +357,6 @@ class _BlockKernel:
             (np.multiply, be[:, None], wins),
             (np.add, weights, self.terms[:n]),
         )
-        return not any_out_of_range(ops, lo, hi)
 
     def commit(self, x, n: int) -> None:
         """Leave the state as :meth:`LmsState.update` would after the block."""

@@ -26,7 +26,11 @@ library's rounding mode to round-toward-zero, in which IEEE float32
 arithmetic is the fpu's truncation wherever a result stays in the normal
 range, ``block_range``.  :func:`out_of_range` is the one check of that range:
 every result it flags, and every result when the scope is unavailable, is
-redone on the exact path.  There, any result outside the normal range
+redone on the exact path.  A bulk op redoes each such element alone; a block
+form, whose results depend on each other, is kept or redone whole by
+:meth:`_Backend.checked`, the one rule for that: the sum chain here, a
+filter's recursion (:mod:`fhrmon.preprocess`) and the LMS block kernel
+(:mod:`fhrmon.lms`).  On the exact path any result outside the normal range
 [2^-126, 2^128), and any operand word that is not a normal number, goes
 to the unchanged ``fpu_*`` function for that element alone, so
 saturation/flush flags and ``OperandError`` messages come from
@@ -47,10 +51,9 @@ nothing (an overflow gives max normal, a subnormal stays), so:
   around its op loop; ``encode`` rounds to nearest in it too.
 * a chain of sums, in which each sum needs the one before (the running
   means), is one ``np.add.accumulate`` in ``block_dtype`` inside the scope
-  (:meth:`_Backend.sum_chain`), which adds strictly in sequence.  Every sum
-  is checked with :func:`out_of_range`; a chain with any outside the range,
-  and every chain without the scope, is redone on ``vadd``.  The filters'
-  feedback loops are their stage's own (:mod:`fhrmon.preprocess`).
+  (:meth:`_Backend.sum_chain`), which adds strictly in sequence.  Through
+  :meth:`_Backend.checked`, a chain with any sum outside the range, and
+  every chain without the scope, is redone on ``vadd``.
 
 Each backend owns an op meter, ``ops``: the operations the modelled
 datapath issues, by method name (``gt`` and ``lt`` are the comparisons).  A
@@ -65,6 +68,7 @@ import operator
 import os
 from array import array
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -136,9 +140,13 @@ def out_of_range(exact, lo: float, hi: float) -> np.ndarray:
 
     A float64 op on float32 values may stand in for the exact one: a product
     is exact, and a sum is exact below 2^-125 and rounds monotonically.
+    ``exact`` is the caller's own redo: its magnitudes overwrite it.
     """
-    mag = np.abs(exact)
-    return ~(((mag >= lo) & (mag < hi)) | (mag == 0.0))
+    mag = np.abs(exact, out=np.asarray(exact))
+    inside = mag >= lo
+    inside &= mag < hi
+    inside |= mag == 0.0
+    return ~inside
 
 
 def any_out_of_range(ops, lo: float, hi: float) -> bool:
@@ -167,7 +175,7 @@ class OpMeter(dict):
 
 
 class _Backend:
-    """Bulk ops and sum chains for both backends."""
+    """Bulk ops, the block check and sum chains for both backends."""
 
     def bulk_add(self, a, b) -> np.ndarray:
         """``vadd`` elementwise; either operand may be a scalar."""
@@ -201,17 +209,30 @@ class _Backend:
                 out[i] = self._oracle(oracle, float(a[i]), float(b[i]))
         return out
 
+    def checked(self, fast, exact):
+        """``fast()``'s result if no op it made is out of range, else ``exact()``'s.
+
+        ``fast`` returns ``(result, ops)``, ``ops`` each op it made as a
+        ``(ufunc, a, b)``.  Both run in one :meth:`rounding_scope` with numpy's
+        float warnings off.  Without the scope only ``exact`` runs; a backend
+        without a ``block_range`` takes every fast result unchecked.
+        """
+        with self.rounding_scope() as available, np.errstate(all="ignore"):
+            if available:
+                result, ops = fast()
+                if self.block_range is None or not any_out_of_range(ops, *self.block_range):
+                    return result
+            return exact()
+
     def sum_chain(self, start: float, terms: np.ndarray) -> np.ndarray:
         """The sums ``start + terms[0]``, ``+ terms[1]`` and so on, as ``vadd`` gives each."""
-        with self.rounding_scope() as available, np.errstate(all="ignore"):
-            sums = self._accumulated(start, terms) if available else None
-            return self._vadd_chain(start, terms) if sums is None else sums
+        return self.checked(partial(self._accumulated, start, terms),
+                            partial(self._vadd_chain, start, terms))
 
     def _accumulated(self, start: float, terms: np.ndarray):
-        """The chain as one accumulate, or None if any sum is :func:`out_of_range`."""
+        """The chain as one accumulate, and its sums as ops."""
         chain = np.add.accumulate(np.append(start, terms), dtype=self.block_dtype).astype(float)
-        bounds = self.block_range
-        return None if bounds and out_of_range(chain[:-1] + terms, *bounds).any() else chain[1:]
+        return chain[1:], [(np.add, chain[:-1], terms)]
 
     def _vadd_chain(self, start: float, terms: np.ndarray) -> np.ndarray:
         """The chain on ``vadd``, one sum at a time: the exact path."""

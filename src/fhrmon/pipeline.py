@@ -44,7 +44,7 @@ TRACE_BLOCK = 256
 # cycle counts this model produces (see RunReport.reference_times_ms).
 REFERENCE_CONVERGENCE_MS = {"series": 18.72, "parallel": 0.48}
 
-VALID_ARCHES = ("series", "parallel", "both")
+VALID_ARCHES = ("series", "parallel")
 VALID_BACKENDS = ("soft", "float64")
 OPTIONAL_PATHS = ("input_path", "annotations_path", "out_dir")
 
@@ -369,8 +369,8 @@ def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute the full chain for one architecture and assemble the report."""
-    if cfg.arch == "both":
-        raise ConfigError("run_pipeline handles one architecture; use compare_architectures")
+    if cfg.trace and not cfg.out_dir:
+        raise ConfigError(f"trace {cfg.trace} writes files into out_dir (--out), which is not set")
     rec = load_input(cfg)
     try:
         art = execute(cfg, cfg.arch, rec)
@@ -468,9 +468,8 @@ def baseline_comparison(cfg: RunConfig) -> dict:
     rec = load_input(cfg)
     if not rec.annotations or "fetal" not in rec.annotations:
         raise ConfigError("baseline comparison requires fetal annotations")
-    arch = cfg.arch if cfg.arch != "both" else "parallel"
     try:
-        art = execute(cfg.replaced(arch=arch), arch, rec)
+        art = execute(cfg, cfg.arch, rec)
     except PipelineError as exc:
         return {"proposed": None, "single_mean": None, "threshold": {}, "failures": [str(exc)]}
     scoring_start = art.convergence_index + SCORING_GUARD_SAMPLES

@@ -19,24 +19,26 @@ or float64 reference), with coefficients quantized to float32 once so both
 backends share the exact same constants.
 
 Each stage's ``run`` consumes a whole stream of values and leaves its state
-ready for the next call.  :meth:`PreprocessChain.process` runs stage-major
-over blocks of ``STREAM_BLOCK`` samples: each stage's feed-forward terms as
-bulk ops, then its recursion, then the next stage.  :meth:`IirFilter.run`
-owns its recursion's loop: unrolled for the filter's order, on the soft
-backend over float32 scalars under round-toward-zero, each op then replayed
-in bulk from the outputs.  A running mean's is one accumulate of its total.
-A block with a result outside the normal range, or whose rounding mode
-cannot be set, reruns on the value ops (see :mod:`fhrmon.numeric`).  Every
-stage holds its constants and state as float32 values; the chain returns values.
+ready for the next call.  :meth:`PreprocessChain.process` is the one blocker:
+it runs stage-major over blocks of ``STREAM_BLOCK`` samples, each stage's
+feed-forward terms as bulk ops, then its recursion, then the next stage.  A
+filter's recursion is a loop unrolled for its order, on the soft backend over
+float32 scalars under round-toward-zero, each op then replayed in bulk from
+the outputs; a running mean's is one accumulate of its total.  Each is one
+:meth:`~fhrmon.numeric._Backend.checked` call per ``run``: a call with a
+result outside the normal range, or whose rounding mode cannot be set,
+reruns on the value ops.  Every stage holds its constants and state as
+float32 values; the chain returns values.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import partial
 
 import numpy as np
 
-from .numeric import RunningMean, any_out_of_range, quantized
+from .numeric import RunningMean, quantized
 
 # Low-pass recursion constants (output-feedback form, fs = 1 kHz design).
 LOWPASS_INPUT_COEFFS = (0.00308,)
@@ -49,10 +51,10 @@ NOTCH_OUTPUT_COEFFS = (1.31272, -0.98804)
 
 BASELINE_WINDOW = 200  # samples per moving-average stage
 
-# Samples per block of a stage-major pass (PreprocessChain.process) and of a
-# filter recursion's typed loop.  Numpy temporaries of this size (32 KiB) are
-# reused block after block; whole-channel ones fragment the heap and raise
-# peak RSS by about 1 MB.
+# Samples per block of PreprocessChain.process, the one blocker: each stage's
+# run, so each checked recursion, takes one block.  Numpy temporaries of this
+# size (32 KiB) are reused block after block; whole-channel ones fragment the
+# heap and raise peak RSS by about 1 MB.
 STREAM_BLOCK = 4096
 
 
@@ -110,32 +112,21 @@ class IirFilter:
             for j, coeff in enumerate(self.input_coeffs[1:], 1):
                 acc = bk.bulk_add(acc, bk.bulk_mul(coeff, past[n_in - j : len(past) - j]))
             self.input_history = past[: -n_in - 1 : -1].tolist()
-        # Output terms, a recursion, block by block: the typed loop checked by its
-        # replay; a block that fails, or any without the scope, on the value loop.
-        out = np.empty(len(acc))
-        history, bounds = self.output_history, bk.block_range
-        for start in range(0, len(acc), STREAM_BLOCK):
-            block = acc[start : start + STREAM_BLOCK]
-            with bk.rounding_scope() as available, np.errstate(all="ignore"):
-                if available:
-                    outputs, end = self.typed_loop(history, block)
-                if not available or bounds and any_out_of_range(
-                    self.replay(history, np.asarray(outputs), block), *bounds
-                ):
-                    outputs, end = self.value_loop(history, block)
-            out[start : start + len(block)] = np.asarray(outputs)
-            history = end
-        self.output_history = history
+        # Output terms, a recursion: the typed loop checked by its replay, else the value loop.
+        history = self.output_history
+        outputs, self.output_history = bk.checked(
+            partial(self.typed_loop, history, acc), partial(self.value_loop, history, acc)
+        )
         bk.ops.tally(len(acc), add=self._n_out, mul=self._n_out)
-        return out
+        return np.asarray(outputs, dtype=np.float64)
 
     def typed_loop(self, history: list, acc):
-        """The unrolled loop on the backend's ``scalars``, outputs in ``block_dtype``."""
+        """The unrolled loop on ``scalars``, outputs in ``block_dtype``, and its :meth:`replay`."""
         bk = self.backend
         out = array(np.dtype(bk.block_dtype).char)
         loop = _FEEDBACK[self._n_out]
         end = loop(bk.scalars(acc), bk.scalars(self.output_coeffs), bk.scalars(history), out.append)
-        return out, [float(y) for y in end]
+        return (out, [float(y) for y in end]), self.replay(history, np.asarray(out), acc)
 
     def value_loop(self, history: list, acc):
         """The recursion on the value ops: the exact path."""

@@ -186,7 +186,7 @@ class TestCriterion4BaselineRemoval:
 class TestCriterion5ArchitectureEquivalence:
     def test_bit_identical_streams_and_latency(self, default_config):
         t0 = time.perf_counter()
-        cmp_result = compare_architectures(default_config.replaced(arch="both"))
+        cmp_result = compare_architectures(default_config)
         elapsed = time.perf_counter() - t0
         s_stats = cmp_result.series_report.cycle_stats["series"]
         p_stats = cmp_result.parallel_report.cycle_stats["parallel"]

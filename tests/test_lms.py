@@ -620,7 +620,8 @@ class TestRoundingScope:
             seen.append(truncating())
             raise fpu.OperandError("inside a rejected block")
 
-        monkeypatch.setattr(lms._BlockKernel, "in_range", lambda self, *args: False)
+        refused = [(np.multiply, 3e38, 3e38)]  # a product past 2^128: the check refuses the block
+        monkeypatch.setattr(lms._BlockKernel, "ops", lambda self, *args: refused)
         monkeypatch.setattr(LmsState, "update", failing)
         with pytest.raises(fpu.OperandError, match="inside a rejected block"):
             self.run()

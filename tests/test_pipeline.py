@@ -141,8 +141,9 @@ class TestRunPipeline:
         assert a == b
 
     def test_both_arch_rejected(self):
-        with pytest.raises(ConfigError):
-            run_pipeline(fast_config(arch="both"))
+        # both architectures run through compare_architectures, not a config value
+        with pytest.raises(ConfigError, match="arch must be one of"):
+            fast_config(arch="both")
 
     def test_implausible_fhr_warned(self):
         cfg = fast_config()
@@ -268,7 +269,7 @@ def break_error_dependence(monkeypatch) -> None:
 
 class TestCompareArchitectures:
     def test_identical_streams_and_ratio(self):
-        cfg = fast_config(arch="both")
+        cfg = fast_config()
         cmp_result = compare_architectures(cfg)
         assert cmp_result.identical_outputs
         assert cmp_result.cycle_ratio == 39.0
@@ -279,7 +280,7 @@ class TestCompareArchitectures:
         assert s.metrics == p.metrics
 
     def test_order_one_ratio(self):
-        cfg = fast_config(arch="both", order=1, mu=7e-5)
+        cfg = fast_config(order=1, mu=7e-5)
         cmp_result = compare_architectures(cfg)
         assert cmp_result.cycle_ratio == 3.0
 
@@ -292,7 +293,7 @@ class TestCompareArchitectures:
             return process(chain, samples)
 
         monkeypatch.setattr(PreprocessChain, "process", counting_process)
-        compare_architectures(fast_config(arch="both"))
+        compare_architectures(fast_config())
         assert len(calls) == 2
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
@@ -305,7 +306,7 @@ class TestCompareArchitectures:
             return detect_peaks(*args)
 
         monkeypatch.setattr(fhr, "detect_peaks", counting_detect)
-        cmp_result = compare_architectures(fast_config(arch="both", backend=backend))
+        cmp_result = compare_architectures(fast_config(backend=backend))
         assert calls == [4000]
         assert cmp_result.series_report.threshold == cmp_result.parallel_report.threshold
 
@@ -323,13 +324,13 @@ class TestCompareArchitectures:
 
         monkeypatch.setattr(lms, "run_canceller", counting_canceller)
         monkeypatch.setattr(fhr, "detect_peaks", counting_detect)
-        cmp_result = compare_architectures(fast_config(arch="both"))
+        cmp_result = compare_architectures(fast_config())
         assert calls == [("run_canceller", 6000), ("detect_peaks", 4000)]
         assert cmp_result.identical_outputs
 
     @pytest.mark.parametrize("backend", ["soft", "float64"])
     def test_reports_match_single_architecture_runs(self, backend):
-        cfg = fast_config(arch="both", backend=backend)
+        cfg = fast_config(backend=backend)
         cmp_result = compare_architectures(cfg)
         compared = {"series": cmp_result.series_report, "parallel": cmp_result.parallel_report}
         for arch, report in compared.items():
@@ -339,7 +340,7 @@ class TestCompareArchitectures:
 
     def test_schedule_breaking_a_dependence_fails_both_reports(self, monkeypatch):
         break_error_dependence(monkeypatch)
-        cmp_result = compare_architectures(fast_config(arch="both"))
+        cmp_result = compare_architectures(fast_config())
         assert not cmp_result.identical_outputs
         for report in (cmp_result.series_report, cmp_result.parallel_report):
             assert report.failures[-1] == BROKEN_SERIES_FAILURE
@@ -350,7 +351,6 @@ class TestCompareArchitectures:
             ["compare", "--out", "OUT"],
             ["compare", "--trace", "lms"],
             ["compare", "--out", "OUT", "--trace", "lms"],
-            ["run", "--arch", "both", "--out", "OUT"],
             ["compare", "--config", "CFG"],
         ],
     )
@@ -533,6 +533,16 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {named.format(path=path)}")
+
+    def test_trace_without_out_exits_2_before_loading(self, tmp_path, capsys):
+        # the input is never read: traces need a directory to go to first
+        rc = cli_main(["run", "--input", str(tmp_path / "absent.csv"), "--fs", "1000",
+                       "--trace", "lms"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "out_dir" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--input", str(tmp_path / "absent.csv"), "--fs", "1000"])
@@ -933,16 +943,14 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: compare runs both architectures")
 
-    @pytest.mark.parametrize("argv", [["--arch", "both"], ["--config", "CFG"]])
-    def test_compare_runs_with_arch_both_or_arch_from_config(self, argv, tmp_path, capsys):
+    def test_compare_runs_with_arch_from_config(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(FAST_SPEC.to_dict()))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"arch": "series"}))
-        argv = [{"CFG": str(cfg_path)}.get(a, a) for a in argv]
         rc = cli_main(
-            ["compare", *argv, "--synth", str(spec_path), "--backend", "float64",
-             "--convergence-index", "2000"]
+            ["compare", "--config", str(cfg_path), "--synth", str(spec_path), "--backend",
+             "float64", "--convergence-index", "2000"]
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["summary"]["identical_outputs"]

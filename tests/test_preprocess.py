@@ -321,6 +321,25 @@ class TestStageMajorProcess:
         if backend == "soft" and kind == "saturating":
             assert bk_run.flags.overflow and bk_run.flags.underflow
 
+    def test_only_the_block_with_a_flushing_product_reruns(self, monkeypatch):
+        # process is the one blocker: each STREAM_BLOCK is one checked filter call.
+        # A low-pass output in [2^-126, 2^-125) after silence makes its product
+        # with the last feedback coefficient flush four samples on, in block 1.
+        n, p = 3 * STREAM_BLOCK + 200, STREAM_BLOCK + 1000
+        x = np.zeros(n)
+        x[p] = 1.5 * 2.0**-126 / quantized(LOWPASS_INPUT_COEFFS[0])
+        ecg = generate_synthetic(SynthSpec(duration_s=8.0, seed=61)).channel("abdominal")
+        x[p + 1 :] = ecg[: n - p - 1]
+        bk, ar = make_backend("soft"), Arithmetic("soft")
+        chain = PreprocessChain(bk)
+        paths = {name: trace_paths(getattr(chain, name), ("typed_loop", "value_loop"), monkeypatch)
+                 for name in ("lowpass", "notch")}
+        got = bk.to_words(chain.process(x))
+        assert got == reference.preprocess(ar, x)
+        assert bk.flags == ar.flags and ar.flags.underflow
+        assert bk.ops == ar.ops
+        assert paths == {"lowpass": ["fast", "fast", "exact", "fast", "fast"], "notch": ["fast"] * 4}
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e39])
     def test_unrepresentable_sample_raises_what_encode_raises(self, value):
         bk = make_backend("soft")
@@ -406,22 +425,20 @@ def _soft_paths(n_blocks: int, rejected) -> list:
 class TestCastRecursion:
     """``IirFilter.run`` and ``RunningMean.run`` against their reference stages.
 
-    On the soft backend each block of a filter's recursion runs as an
+    On the soft backend each call of a filter's recursion runs as an
     unrolled loop on float32 scalars under round-toward-zero, and each call of a running mean as one
-    sum chain accumulate; a block or chain with any op out of range reruns on
+    sum chain accumulate; a call with any op out of range reruns on
     the value ops.  Words, flags, meter readings and state must equal the
     reference's.
     """
 
     B = STREAM_BLOCK
     SPLIT = 1234  # run in two calls, the second resuming from the first's state
-    N = 2 * STREAM_BLOCK + 300  # blocks [0, SPLIT), then two from SPLIT, the last one short
+    N = 2 * STREAM_BLOCK + 300
 
     def block_of(self, stage, k: int) -> int:
-        """The block sample ``k`` falls in: a running mean's call is one chain."""
-        if k < self.SPLIT:
-            return 0
-        return 1 if isinstance(stage, RunningMean) else 1 + (k - self.SPLIT) // self.B
+        """The call sample ``k`` falls in: each call is checked once, as one block."""
+        return 0 if k < self.SPLIT else 1
 
     @staticmethod
     def ecg() -> np.ndarray:
@@ -550,8 +567,8 @@ class TestCastRecursion:
         paths = _trace_paths(run, monkeypatch)
         assert bk_run.to_words(run.run(x)) == want
         assert bk_run.flags == ar.flags and bk_run.ops == ar.ops
-        # one call: a running mean's chain, or a filter's blocks
-        assert paths == ["exact"] * (1 if name == "mean" else -(-self.N // self.B))
+        # one call, checked once
+        assert paths == ["exact"]
         assert numeric._rounding is False
 
 
