@@ -24,48 +24,24 @@ import sys
 from pathlib import Path
 
 from . import fpu
-from .io import (
-    RecordingError,
-    SynthSpec,
-    generate_synthetic,
-    write_annotations,
-    write_recording,
-)
+from .io import RecordingError, SynthSpec, generate_synthetic, write_annotations, write_recording
+from .numeric import VALID_CMP_MODES
 from .pipeline import (
-    VALID_ARCHES,
-    VALID_BACKENDS,
-    VALID_CMP_MODES,
-    ConfigError,
-    RunConfig,
-    baseline_comparison,
-    compare_architectures,
-    run_pipeline,
+    ConfigError, RunConfig, baseline_comparison, compare_architectures, run_pipeline
 )
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file mirroring these flags")
-    parser.add_argument("--input", dest="input_path", help="recording file path")
-    parser.add_argument(
-        "--format", dest="input_format", choices=("csv", "raw"), default=None
-    )
     parser.add_argument("--synth", dest="synth_path", help="synthetic spec JSON path")
-    parser.add_argument("--thoracic", help="thoracic channel name")
-    parser.add_argument("--abdominal", help="abdominal channel name")
-    parser.add_argument("--fs", type=float, help="sampling frequency (Hz)")
-    parser.add_argument("--order", type=int, help="adaptive filter order")
-    parser.add_argument("--mu", type=float, help="adaptive step size")
-    parser.add_argument("--arch", choices=VALID_ARCHES)
-    parser.add_argument("--cmp-mode", dest="cmp_mode", choices=VALID_CMP_MODES)
-    parser.add_argument("--backend", choices=VALID_BACKENDS)
-    parser.add_argument("--clock-hz", dest="clock_hz", type=float)
-    parser.add_argument("--annotations", dest="annotations_path")
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument(
-        "--trace",
-        help="comma-separated stages to trace (preprocess,lms,fhr)",
-    )
-    parser.add_argument("--convergence-index", dest="convergence_index", type=int)
+    parser.add_argument("--trace", help="comma-separated stages to trace (preprocess,lms,fhr)")
+    for f in dataclasses.fields(RunConfig):
+        if f.metadata.get("help"):
+            rules = f.metadata["rules"]
+            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+            parser.add_argument(flag, dest=f.name, help=f.metadata["help"],
+                                type=next((r.type for r in rules if r.type), None),
+                                choices=next((r.choices for r in rules if r.choices), None))
 
 
 def _read_json(path: str) -> dict:
@@ -95,9 +71,7 @@ def _print_json(payload: dict, sort_keys: bool = True) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
-    if args.config:
-        data.update(_read_json(args.config))
+    data = _read_json(args.config) if args.config else {}
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     data.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     if args.trace is not None:

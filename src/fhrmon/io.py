@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .fhr import PeakSet
+from .rules import NON_NEGATIVE, NUMBER, POSITIVE, SEED, bpm, check_fields, declared
 
 RAW_MAGIC = "FHRRAW1"
 INT16_FULL_SCALE = 32768.0
@@ -51,11 +52,6 @@ MAX_SYNTH_SAMPLES = 10_000_000
 
 class RecordingError(ValueError):
     """Raised for malformed recording or annotation files."""
-
-
-def is_number(value) -> bool:
-    """True for an int or float that is not a bool, as a numeric field must be."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -109,32 +105,19 @@ class Recording:
 class SynthSpec:
     """Parameters of the synthetic thoracic/abdominal pair."""
 
-    duration_s: float = 30.0
-    fs: float = 1000.0
-    maternal_bpm: float = 88.0
-    fetal_bpm: float = 115.0
-    fetal_amplitude_ratio: float = 0.2
-    noise_rms: float = 0.005
-    baseline_amp: float = 0.03
-    baseline_freq_hz: float = 0.2
-    powerline_amp: float = 0.005
-    seed: int = 1234
+    duration_s: float = declared(30.0, NUMBER, POSITIVE)
+    fs: float = declared(1000.0, NUMBER, POSITIVE)
+    maternal_bpm: float = declared(88.0, NUMBER, bpm(30.0))
+    fetal_bpm: float = declared(115.0, NUMBER, bpm(50.0))
+    fetal_amplitude_ratio: float = declared(0.2, NUMBER, NON_NEGATIVE)
+    noise_rms: float = declared(0.005, NUMBER, NON_NEGATIVE)
+    baseline_amp: float = declared(0.03, NUMBER, NON_NEGATIVE)
+    baseline_freq_hz: float = declared(0.2, NUMBER, NON_NEGATIVE)
+    powerline_amp: float = declared(0.005, NUMBER, NON_NEGATIVE)
+    seed: int = declared(1234, SEED)
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name, value in asdict(self).items():
-            if not is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        for name, low in (("maternal_bpm", 30.0), ("fetal_bpm", 50.0)):
-            if not low <= getattr(self, name) <= 300.0:
-                raise ValueError(f"{name} out of [{low:g}, 300]: {getattr(self, name)}")
-        for name in ("noise_rms", "baseline_amp", "baseline_freq_hz", "powerline_amp",
-                     "fetal_amplitude_ratio"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if not (0 < self.duration_s < math.inf and 0 < self.fs < math.inf):
-            raise ValueError("duration_s and fs must be positive and finite")
+        check_fields(self, ValueError)
         if not self.duration_s * self.fs <= MAX_SYNTH_SAMPLES:  # False for inf too
             raise ValueError(
                 f"duration_s * fs must be at most {MAX_SYNTH_SAMPLES} samples, "

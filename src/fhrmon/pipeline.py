@@ -26,11 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fhr, fpu, lms
-from .io import (
-    Recording, SynthSpec, generate_synthetic, is_number, load_annotations, load_recording
-)
+from .io import Recording, SynthSpec, generate_synthetic, load_annotations, load_recording
 from .numeric import VALID_CMP_MODES, make_backend
 from .preprocess import PreprocessChain
+from .rules import INTEGER, NUMBER, POSITIVE, STRING, at_least, check_fields, declared, one_of
 
 DEFAULT_CLOCK_HZ = 50_000_000
 # Guard band after the convergence marker before scoring starts: enhancement
@@ -44,10 +43,6 @@ TRACE_BLOCK = 256
 # cycle counts this model produces (see RunReport.reference_times_ms).
 REFERENCE_CONVERGENCE_MS = {"series": 18.72, "parallel": 0.48}
 
-VALID_ARCHES = ("series", "parallel")
-VALID_BACKENDS = ("soft", "float64")
-OPTIONAL_PATHS = ("input_path", "annotations_path", "out_dir")
-
 
 class ConfigError(ValueError):
     """Raised for invalid run configuration before any processing starts."""
@@ -59,28 +54,28 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    input_path: str | None = None
-    input_format: str = "csv"
+    input_path: str | None = declared(None, STRING, flag="--input", help="recording file path")
+    input_format: str = declared("csv", STRING, one_of(("csv", "raw")), flag="--format",
+                                 help="recording file format")
     synth: SynthSpec | None = None
-    thoracic: str = "thoracic"
-    abdominal: str = "abdominal"
-    fs: float | None = None
-    order: int = lms.DEFAULT_ORDER
-    mu: float = lms.DEFAULT_STEP_SIZE
-    arch: str = "parallel"
-    cmp_mode: str = "corrected"
-    backend: str = "soft"
-    clock_hz: float = DEFAULT_CLOCK_HZ
-    annotations_path: str | None = None
-    out_dir: str | None = None
+    thoracic: str = declared("thoracic", STRING, help="thoracic channel name")
+    abdominal: str = declared("abdominal", STRING, help="abdominal channel name")
+    fs: float | None = declared(None, NUMBER, POSITIVE, help="sampling frequency (Hz)")
+    order: int = declared(lms.DEFAULT_ORDER, INTEGER, at_least(1), help="adaptive filter order")
+    mu: float = declared(lms.DEFAULT_STEP_SIZE, NUMBER, POSITIVE, help="adaptive step size")
+    arch: str = declared("parallel", one_of(("series", "parallel")), help="canceller datapath")
+    cmp_mode: str = declared("corrected", one_of(VALID_CMP_MODES), help="soft comparator mode")
+    backend: str = declared("soft", one_of(("soft", "float64")), help="arithmetic of every stage")
+    clock_hz: float = declared(DEFAULT_CLOCK_HZ, NUMBER, POSITIVE, help="datapath clock (Hz)")
+    annotations_path: str | None = declared(None, STRING, flag="--annotations",
+                                            help="annotation file of the recording")
+    out_dir: str | None = declared(None, STRING, flag="--out", help="report and trace directory")
     trace: list[str] = field(default_factory=list)
-    convergence_index: int | None = None  # None = min(12000, n // 2)
+    convergence_index: int | None = declared(None, INTEGER, at_least(0),
+                                             help="convergence marker (default min(12000, n/2))")
 
     def __post_init__(self):
-        for name in ("thoracic", "abdominal", "input_format", *OPTIONAL_PATHS):
-            value = getattr(self, name)
-            if not (isinstance(value, str) or (value is None and name in OPTIONAL_PATHS)):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
+        check_fields(self, ConfigError)
         if self.thoracic == self.abdominal:
             raise ConfigError(f"thoracic and abdominal name one channel, {self.thoracic!r}: "
                               "the canceller needs two")
@@ -91,28 +86,8 @@ class RunConfig:
             for name in ("fs", "annotations_path"):
                 if getattr(self, name) is not None:
                     raise ConfigError(f"{name} applies to input_path only; synth sets its own")
-        if self.arch not in VALID_ARCHES:
-            raise ConfigError(f"arch must be one of {VALID_ARCHES}, got {self.arch!r}")
-        if self.cmp_mode not in VALID_CMP_MODES:
-            raise ConfigError(f"cmp_mode must be one of {VALID_CMP_MODES}")
-        if self.backend not in VALID_BACKENDS:
-            raise ConfigError(f"backend must be one of {VALID_BACKENDS}")
         if self.backend == "float64" and self.cmp_mode != "corrected":
             raise ConfigError(f"cmp_mode {self.cmp_mode!r} applies to backend 'soft' only")
-        for name in ("order", "convergence_index"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.order < 1:
-            raise ConfigError(f"order must be >= 1, got {self.order}")
-        for name in ("fs", "mu", "clock_hz"):
-            value = getattr(self, name)
-            if value is not None and not is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if value is not None and not 0 < value < math.inf:  # False for NaN too
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.convergence_index is not None and self.convergence_index < 0:
-            raise ConfigError(f"convergence_index must be >= 0, got {self.convergence_index}")
         if not isinstance(self.trace, list):
             raise ConfigError(f"trace must be a list of stage names, got {self.trace!r}")
         bad = [s for s in self.trace if s not in ("preprocess", "lms", "fhr")]
@@ -120,19 +95,14 @@ class RunConfig:
             raise ConfigError(f"unknown trace stages: {bad}")
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        if self.synth is not None:
-            data["synth"] = self.synth.to_dict()
-        return data
+        return asdict(self)  # synth too, as its own to_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        if data.get("synth") is not None:
-            if not isinstance(data["synth"], dict):
-                raise ConfigError(f"synth must be a JSON object, got {data['synth']!r}")
-            data["synth"] = SynthSpec.from_dict(data["synth"])
-        return cls(**data)
+        synth = data.get("synth")
+        if synth is not None and not isinstance(synth, dict):
+            raise ConfigError(f"synth must be a JSON object, got {synth!r}")
+        return cls(**{**data, "synth": None if synth is None else SynthSpec.from_dict(synth)})
 
     def replaced(self, **overrides) -> "RunConfig":
         return RunConfig.from_dict({**self.to_dict(), **overrides})
