@@ -11,8 +11,10 @@ Subcommands:
 * ``fpu``      — one arithmetic/compare operation on hex-encoded words.
 
 Exit status is 0 only when every requested stage completed without failure.
-All ``run`` flags can also arrive via ``--config FILE`` (JSON, same field
-names); explicit flags override the file.
+The ``run``/``compare``/``baseline`` options besides ``--config``, ``--synth``
+and ``--trace`` are ``RunConfig``'s declared fields (:mod:`fhrmon.rules`).
+Every field can also arrive via ``--config FILE`` (JSON, same field names);
+explicit flags override the file.
 """
 
 from __future__ import annotations
@@ -31,17 +33,18 @@ from .pipeline import (
 )
 
 
+# Each RunConfig option's flag and add_argument keywords, read once: main builds a parser per call.
+_RUN_OPTIONS = [(f.metadata["flag"] or "--" + f.name.replace("_", "-"),
+                 {"dest": f.name, **f.metadata["option"]})
+                for f in dataclasses.fields(RunConfig) if f.metadata.get("option")]
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file mirroring these flags")
     parser.add_argument("--synth", dest="synth_path", help="synthetic spec JSON path")
     parser.add_argument("--trace", help="comma-separated stages to trace (preprocess,lms,fhr)")
-    for f in dataclasses.fields(RunConfig):
-        if f.metadata.get("help"):
-            rules = f.metadata["rules"]
-            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
-            parser.add_argument(flag, dest=f.name, help=f.metadata["help"],
-                                type=next((r.type for r in rules if r.type), None),
-                                choices=next((r.choices for r in rules if r.choices), None))
+    for flag, option in _RUN_OPTIONS:
+        parser.add_argument(flag, **option)
 
 
 def _read_json(path: str) -> dict:

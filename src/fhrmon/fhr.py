@@ -15,8 +15,9 @@ The two-pass split exists because ``m1``/``m2`` are normalized by the stream
 length, which is only known once the stream ends.  Pass 1 runs on values
 (bulk ops, and one sum chain for ``m1``) but for its window total, which like
 pass 2 runs on the backend's word methods (see :mod:`fhrmon.numeric`).  Heart
-rate follows from the mean gap between accepted peaks.  Scoring against
-fetal/maternal annotations uses greedy one-to-one matching inside a +/-50 ms window.
+rate follows from the mean gap between accepted peaks, an interval that spans
+missed beats counted as that many beats.  Scoring against fetal/maternal
+annotations uses greedy one-to-one matching inside a +/-50 ms window.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class FhrResult:
     rr_intervals: list[int]
     peaks_used: PeakSet
     plausible: bool
+    inferred_beats: int = 0  # beats counted inside intervals that span missed ones
 
     def to_dict(self) -> dict:
         return {
@@ -69,6 +71,7 @@ class FhrResult:
             "rr_intervals": self.rr_intervals,
             "n_peaks_used": len(self.peaks_used),
             "plausible": self.plausible,
+            "inferred_beats": self.inferred_beats,
         }
 
 
@@ -231,17 +234,25 @@ def detect_peaks(backend, fecg_samples, fs: float) -> dict:
 def compute_fhr(
     peaks: PeakSet, fs: float, convergence_index: int = CONVERGENCE_SAMPLES
 ) -> FhrResult:
-    """Average the RR intervals of post-convergence peaks into a BPM figure."""
+    """Average the RR intervals of post-convergence peaks into a BPM figure.
+
+    An interval counts as ``k = max(1, round(RR / median RR))`` beats, so one
+    that spans a missed beat does not lower the rate: the mean RR is
+    ``sum(RR) / sum(k)``, and ``inferred_beats`` is ``sum(k)`` less the intervals.
+    """
     locs = [p for p in peaks.locations if p > convergence_index]
     if len(locs) < 2:
         raise NoEstimateError(
             f"need at least 2 peaks after sample {convergence_index}, found {len(locs)}"
         )
     rr = [b - a for a, b in zip(locs, locs[1:])]
-    mean_rr_s = (sum(rr) / len(rr)) / fs
+    ordered, mid = sorted(rr), len(rr) // 2
+    median = ordered[mid] if len(rr) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    beats = sum(max(1, round(r / median)) for r in rr)
+    mean_rr_s = (sum(rr) / beats) / fs
     fhr = 60.0 / mean_rr_s
     plausible = FHR_PLAUSIBLE_BPM[0] <= fhr <= FHR_PLAUSIBLE_BPM[1]
-    return FhrResult(fhr, mean_rr_s, rr, PeakSet(locs), plausible)
+    return FhrResult(fhr, mean_rr_s, rr, PeakSet(locs), plausible, beats - len(rr))
 
 
 def _greedy_match(detections: list[int], truths: list[int], window: int):

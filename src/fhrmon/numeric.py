@@ -96,24 +96,47 @@ _MIN_NORMAL = 2.0**-126
 # truncates to max normal, as fpu_* packs it, with no flag.
 _RANGE_END = 2.0**128
 
-# fesetround's FE_TOWARDZERO by machine; on any other machine the soft
-# rounding scope is unavailable and vector work falls back to the exact path.
-_FE_TOWARDZERO = {"x86_64": 0xC00, "aarch64": 0xC00000}
-_LIBM = "libm.so.6"  # glibc's; elsewhere loading it fails and the scope is unavailable
+# fesetround's FE_TOWARDZERO by machine (macOS names aarch64 arm64); on any
+# other machine the soft rounding scope is unavailable and vector work falls
+# back to the exact path.
+_FE_TOWARDZERO = {"x86_64": 0xC00, "aarch64": 0xC00000, "arm64": 0xC00000}
+# glibc's libm, tried first: only off Linux does ctypes.util.find_library look
+# further, since on Linux it spawns ldconfig.
+_LIBM = "libm.so.6"
 # (fesetround, fegetround, FE_TOWARDZERO) once loaded and probed, False once
 # that failed, None before the first soft rounding scope.
 _rounding = None
 
 
+def rounding_scope_available() -> bool:
+    """Whether the soft rounding scope can make float32 arithmetic truncate here.
+
+    Without it every soft block takes the exact path: the same words, many
+    times slower.
+    """
+    global _rounding
+    if _rounding is None:
+        _rounding = _load_rounding()
+    return bool(_rounding)
+
+
 def _load_rounding():
     """The C library's rounding controls, if they make numpy float32 truncate."""
-    mode = _FE_TOWARDZERO.get(os.uname().machine if hasattr(os, "uname") else "")
+    uname = os.uname() if hasattr(os, "uname") else None
+    mode = _FE_TOWARDZERO.get(uname.machine if uname else "")
     if mode is None:
         return False
     try:
         import ctypes
 
-        libm = ctypes.CDLL(_LIBM)
+        try:
+            libm = ctypes.CDLL(_LIBM)
+        except OSError:
+            if uname.sysname == "Linux":
+                raise
+            import ctypes.util
+
+            libm = ctypes.CDLL(ctypes.util.find_library("m"))
         setter, getter = libm.fesetround, libm.fegetround
     except (ImportError, OSError, AttributeError):
         return False
@@ -280,10 +303,7 @@ class SoftF32Backend(_Backend):
         The scalar value ops cast only while this backend's scope is open; a
         scope opened inside it gives its answer and changes nothing.
         """
-        global _rounding
-        if _rounding is None:
-            _rounding = _load_rounding()
-        if self._scoped or not _rounding:
+        if self._scoped or not rounding_scope_available():
             yield self._scoped
             return
         setter, getter, mode = _rounding

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fhr, fpu, lms
 from .io import Recording, SynthSpec, generate_synthetic, load_annotations, load_recording
-from .numeric import VALID_CMP_MODES, make_backend
+from .numeric import VALID_CMP_MODES, make_backend, rounding_scope_available
 from .preprocess import PreprocessChain
 from .rules import INTEGER, NUMBER, POSITIVE, STRING, at_least, check_fields, declared, one_of
 
@@ -81,11 +81,9 @@ class RunConfig:
                               "the canceller needs two")
         if (self.input_path is None) == (self.synth is None):
             raise ConfigError("exactly one of input_path or synth must be given")
-        if self.synth is not None:
-            # The spec sets the synthetic record's rate and its annotations.
-            for name in ("fs", "annotations_path"):
-                if getattr(self, name) is not None:
-                    raise ConfigError(f"{name} applies to input_path only; synth sets its own")
+        for name in ("fs", "annotations_path"):  # a spec sets its record's rate and annotations
+            if self.synth is not None and getattr(self, name) is not None:
+                raise ConfigError(f"{name} applies to input_path only; synth sets its own")
         if self.backend == "float64" and self.cmp_mode != "corrected":
             raise ConfigError(f"cmp_mode {self.cmp_mode!r} applies to backend 'soft' only")
         if not isinstance(self.trace, list):
@@ -124,6 +122,9 @@ class RunReport:
     reference_times_ms: dict = field(default_factory=lambda: dict(REFERENCE_CONVERGENCE_MS))
     scale_factors: dict = field(default_factory=dict)
     threshold: dict = field(default_factory=dict)
+    # Whether soft blocks ran in the truncating rounding scope (None on float64):
+    # without it they take the exact path, tens of times slower.
+    rounding_scope: bool | None = None
     warnings: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     generated_at: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
@@ -332,6 +333,7 @@ def build_report(cfg: RunConfig, art: RunArtifacts) -> RunReport:
         convergence_time_ms={art.arch: conv_ms if math.isfinite(conv_ms) else None},
         scale_factors={"thoracic": art.front_end.scale_x, "abdominal": art.front_end.scale_d},
         threshold={"m1": art.detection["m1"], "th": art.detection["th"]},
+        rounding_scope=rounding_scope_available() if art.backend.name == "soft" else None,
         warnings=warnings,
         failures=failures,
     )

@@ -1,8 +1,8 @@
 """Configuration fields declared once: their rules, their option, and one checker.
 
-A :func:`declared` field carries its ordered :class:`Rule` tuple, and for a
-``run`` option its flag and help, in its ``dataclasses`` metadata.  Rules
-relating two fields stay in the owning class's ``__post_init__``.
+A :func:`declared` field's ``dataclasses`` metadata holds its ordered rules and,
+for a ``run`` option, its flag and help.  Rules relating two fields stay in
+the owning class's ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -53,19 +53,20 @@ def bpm(lo: float) -> Rule:
 def declared(default, *rules: Rule, flag: str | None = None, help: str | None = None):
     """A dataclass field with ``default``, checked by ``rules`` in order.
 
-    A field whose default is None also takes None, to which no rule applies.
-    One with ``help`` is a ``run`` option: ``flag``, else ``--`` and its name
-    with dashes for underscores.
+    If ``default`` is None the field also takes None, which no rule checks.
+    With ``help`` it is a ``run`` option: ``flag``, else ``--`` and its name
+    with dashes, whose ``add_argument`` keywords are ``option``.
     """
-    return field(default=default, metadata={"rules": rules, "flag": flag, "help": help})
+    kinds = {k: v for r in rules for k, v in (("type", r.type), ("choices", r.choices)) if v}
+    option = {"help": help, **kinds} if help else None
+    return field(default=default, metadata={"rules": rules, "flag": flag, "option": option})
 
 
 def check_fields(obj, error: type[Exception]) -> None:
     """Raise ``error`` with the message of the first rule that a field of ``obj`` fails."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if value is None and f.default is None:
-            continue
-        for rule in f.metadata.get("rules", ()):
-            if not rule.test(value):
-                raise error(rule.message.format(name=f.name, value=value))
+        if value is not None or f.default is not None:
+            for rule in f.metadata.get("rules", ()):
+                if not rule.test(value):
+                    raise error(rule.message.format(name=f.name, value=value))

@@ -224,6 +224,26 @@ class TestComputeFhr:
         assert res.mean_rr_seconds == pytest.approx(0.429)
         assert res.plausible
 
+    @pytest.mark.parametrize(
+        "missed", [[10], [10, 11], [3, 20]], ids=["one", "two_in_a_row", "two_apart"]
+    )
+    def test_interval_spanning_missed_beats_counts_them(self, missed):
+        # the rate of the full train, not one lowered by the long intervals
+        locs = list(range(12100, 28000, 429))
+        kept = [p for i, p in enumerate(locs) if i not in missed]
+        res = compute_fhr(PeakSet(kept), fs=1000.0)
+        assert res.inferred_beats == len(missed)
+        assert res.to_dict()["inferred_beats"] == len(missed)
+        assert res.fhr_bpm == pytest.approx(60.0 / 0.429, rel=1e-12)
+        assert res.mean_rr_seconds == pytest.approx(0.429)
+        assert res.rr_intervals == [b - a for a, b in zip(kept, kept[1:])]
+
+    def test_even_count_of_intervals_takes_the_middle_pair_as_median(self):
+        # median 450: 600 / 450 rounds to one beat, so no beat is inferred
+        res = compute_fhr(PeakSet([13000, 13400, 13800, 14300, 14900]), fs=1000.0)
+        assert res.inferred_beats == 0
+        assert res.fhr_bpm == pytest.approx(60.0 / 0.475)
+
     def test_only_post_convergence_peaks_count(self):
         locs = [5000, 6000, 13000, 13500, 14000]
         res = compute_fhr(PeakSet(locs), fs=1000.0, convergence_index=12000)

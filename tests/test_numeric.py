@@ -644,3 +644,52 @@ def test_soft_pass_never_takes_the_exact_path(monkeypatch, default_config):
         monkeypatch.setattr(owner, name, counted)
     assert run_pipeline(default_config).ok
     assert calls == {}
+
+
+class _FakeFunction:
+    """A C function stand-in that records its calls and returns ``result``."""
+
+    def __init__(self, calls: list, result: int = 0):
+        self.calls, self.result = calls, result
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.result
+
+
+@pytest.mark.parametrize(
+    "sysname, machine, soname_loads, want_opened, want_mode",
+    [
+        ("Linux", "x86_64", True, ["libm.so.6"], 0xC00),
+        ("Linux", "aarch64", False, ["libm.so.6"], None),
+        ("Darwin", "arm64", False, ["libm.so.6", "/usr/lib/libm.dylib"], 0xC00000),
+    ],
+    ids=["linux_glibc", "linux_without_glibc", "macos_arm64"],
+)
+def test_rounding_lookup_order_and_mode(sysname, machine, soname_loads, want_opened, want_mode,
+                                        monkeypatch):
+    """glibc's soname first; only off Linux the platform's lookup, which on Linux spawns ldconfig."""
+    import ctypes
+    import ctypes.util
+    from types import SimpleNamespace
+
+    opened, looked_up, set_calls = [], [], []
+    # the fake fesetround changes nothing, so the truncation probe fails after it
+    libm = SimpleNamespace(fesetround=_FakeFunction(set_calls), fegetround=_FakeFunction([]))
+
+    def cdll(name):
+        opened.append(name)
+        if name == "libm.so.6" and not soname_loads:
+            raise OSError(f"{name}: cannot open shared object file")
+        return libm
+
+    monkeypatch.setattr(os, "uname", lambda: SimpleNamespace(sysname=sysname, machine=machine))
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(ctypes.util, "find_library",
+                        lambda name: looked_up.append(name) or "/usr/lib/libm.dylib")
+    monkeypatch.setattr(numeric, "_rounding", None)
+    assert numeric.rounding_scope_available() is False
+    assert numeric._rounding is False
+    assert opened == want_opened
+    assert looked_up == (["m"] if len(want_opened) > 1 else [])
+    assert set_calls[:1] == ([(want_mode,)] if want_mode else [])

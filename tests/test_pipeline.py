@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fhrmon import fhr, fpu, lms, pipeline
+from fhrmon import fhr, fpu, lms, numeric, pipeline
 from fhrmon.cli import main as cli_main
 from fhrmon.io import (
     Recording,
@@ -144,6 +144,32 @@ class TestRunPipeline:
         # both architectures run through compare_architectures, not a config value
         with pytest.raises(ConfigError, match="arch must be one of"):
             fast_config(arch="both")
+
+    @pytest.mark.parametrize("duration_s", [120.0, 300.0])
+    def test_fhr_of_long_record_matches_its_annotations(self, duration_s):
+        # a long record misses a few fetal beats; the intervals across them must
+        # not lower the rate (they read 111.1 and 111.7 bpm when averaged raw)
+        spec = SynthSpec(duration_s=duration_s)
+        rep = run_pipeline(RunConfig(synth=spec, backend="float64"))
+        fetal = generate_synthetic(spec).annotations["fetal"].locations
+        truth = [p for p in fetal if p > rep.convergence_index]
+        truth_bpm = 60.0 * spec.fs * (len(truth) - 1) / (truth[-1] - truth[0])
+        assert rep.fhr["inferred_beats"] > 0
+        assert rep.fhr["fhr_bpm"] == pytest.approx(truth_bpm, abs=0.5)
+        assert rep.warnings == []
+
+    def test_report_names_the_rounding_scope(self, monkeypatch):
+        # a soft run without the scope gives the same words far slower: the report says which
+        cfg = fast_config(synth=SynthSpec(duration_s=2.0, seed=21), convergence_index=1000)
+        assert run_pipeline(cfg).rounding_scope is None  # float64
+        soft = cfg.replaced(backend="soft")
+        scoped = run_pipeline(soft)
+        assert scoped.rounding_scope is numeric.rounding_scope_available()
+        monkeypatch.setattr(numeric, "_rounding", False)
+        unscoped = run_pipeline(soft)
+        assert unscoped.rounding_scope is False
+        assert json.loads(unscoped.to_json())["rounding_scope"] is False
+        assert unscoped.fhr == scoped.fhr
 
     def test_implausible_fhr_warned(self):
         cfg = fast_config()

@@ -432,7 +432,6 @@ class TestCastRecursion:
     reference's.
     """
 
-    B = STREAM_BLOCK
     SPLIT = 1234  # run in two calls, the second resuming from the first's state
     N = 2 * STREAM_BLOCK + 300
 
@@ -466,8 +465,8 @@ class TestCastRecursion:
             x = np.concatenate([tiny * np.random.default_rng(71).normal(size=3000), ecg])
         elif case in ("flag_first", "flag_last"):
             x = np.zeros(self.N)
-            # the first sample of the last block, or the last sample of the one before
-            target = self.SPLIT + self.B - (case == "flag_last")
+            # the first sample of the second call, or the last sample of the first
+            target = self.SPLIT - (case == "flag_last")
             start = target - self.first_flag(name)
             x[start : start + len(SPIKES[name])] = SPIKES[name]
         else:  # ecg
@@ -516,7 +515,7 @@ class TestCastRecursion:
             # every flag comes from the recursion: exactly the flagged blocks rerun
             assert paths == _soft_paths(n_blocks, blocks)
             if case != "ecg":
-                assert flagged[0] == self.SPLIT + self.B - (case == "flag_last")
+                assert flagged[0] == self.SPLIT - (case == "flag_last")
             else:
                 assert not flagged
 
